@@ -9,6 +9,7 @@ package gcsafety
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"gcsafety/internal/bench"
@@ -19,14 +20,35 @@ import (
 
 func reportTable(b *testing.B, t *bench.Table) {
 	b.Helper()
+	for _, m := range tableMetrics(t) {
+		b.ReportMetric(m.value, m.unit)
+	}
+}
+
+// tableMetric is one table cell as a custom benchmark metric.
+type tableMetric struct {
+	unit  string
+	value float64
+}
+
+// tableMetrics turns a table's cells into metrics: percentages as
+// %<column>/<workload>, the retained@exit column as
+// retained@exit_bytes/<workload>. Cells that render neither (failures,
+// unavailable cells, engine-throughput text) are left out.
+func tableMetrics(t *bench.Table) []tableMetric {
+	var ms []tableMetric
 	for _, r := range t.Rows {
 		for i, c := range r.Cells {
-			if c.Fails || c.Unavail {
-				continue
+			switch {
+			case t.Columns[i] == "retained@exit":
+				ms = append(ms, tableMetric{"retained@exit_bytes/" + r.Workload, float64(c.Bytes)})
+			case c.Fails || c.Unavail || c.Text != "":
+			default:
+				ms = append(ms, tableMetric{fmt.Sprintf("%%%s/%s", sanitize(t.Columns[i]), r.Workload), c.Pct})
 			}
-			b.ReportMetric(c.Pct, fmt.Sprintf("%%%s/%s", sanitize(t.Columns[i]), r.Workload))
 		}
 	}
+	return ms
 }
 
 func sanitize(s string) string {
@@ -364,5 +386,41 @@ func BenchmarkWorkloads(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRetainedMetricsAreBytes pins the retained@exit metrics: one per
+// workload, named retained@exit_bytes/<workload>, each equal to the
+// workload's MeasureRetained byte count.
+func TestRetainedMetricsAreBytes(t *testing.T) {
+	tbl, err := bench.SlowdownTable(machine.SPARCstation10())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, m := range tableMetrics(tbl) {
+		got[m.unit] = m.value
+	}
+	var nonzero int
+	for _, w := range workloads.All() {
+		want, err := bench.MeasureRetained(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := got["retained@exit_bytes/"+w.Name]
+		if !ok || v != float64(want) {
+			t.Errorf("retained@exit_bytes/%s = %v (reported %v), want %d", w.Name, v, ok, want)
+		}
+		if want > 0 {
+			nonzero++
+		}
+	}
+	if nonzero == 0 {
+		t.Error("every workload retains 0 bytes at exit; the metric measures nothing")
+	}
+	for unit := range got {
+		if strings.HasPrefix(unit, "%retained") {
+			t.Errorf("retained column still reported as a percentage: %s", unit)
+		}
 	}
 }

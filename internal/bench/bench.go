@@ -343,6 +343,8 @@ type Cell struct {
 	// Text renders literally when non-empty: the retained-size and
 	// engine-throughput columns are absolute values, not percentages.
 	Text string
+	// Bytes is the byte count a retained-size cell renders.
+	Bytes uint64
 }
 
 func (c Cell) String() string {
@@ -361,7 +363,7 @@ func (c Cell) String() string {
 // retainedCell renders a workload's exit heap shape (MeasureRetained) for
 // the tables' retained column.
 func retainedCell(retained uint64) Cell {
-	return Cell{Text: heapdump.Comma(retained) + "B"}
+	return Cell{Text: heapdump.Comma(retained) + "B", Bytes: retained}
 }
 
 // Row is one workload's row in a table.

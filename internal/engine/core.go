@@ -8,6 +8,7 @@ import (
 
 	"gcsafety/internal/faultinject"
 	"gcsafety/internal/gc"
+	"gcsafety/internal/heapdump"
 	"gcsafety/internal/machine"
 )
 
@@ -136,7 +137,7 @@ func NewCore(prog *machine.Program, opts Options) *Core {
 		hcfg.Inject = opts.Faults.Fire
 	}
 	c.heap = gc.NewHeap(hcfg)
-	c.heap.SetRoots(gc.RootFunc(c.scanRoots))
+	c.heap.SetRoots(c)
 	c.meta = make(map[*machine.Func]*FuncMeta, len(prog.Funcs))
 	for name, f := range prog.Funcs {
 		lm := map[int32]int{}
@@ -257,11 +258,29 @@ func (c *Core) result() *Result {
 	}
 }
 
-// scanRoots feeds the collector every word in the register file, the live
-// stack, and the static data segment. In concurrent mode every live
-// thread's register file and stack segment is a root set: a collection one
-// thread triggers must see the pointers every other thread still holds.
-func (c *Core) scanRoots(visit func(gc.Addr)) {
+// A RootSegment is one contiguous piece of the machine's GC root set: a
+// thread's register file, the live part of a thread's stack, or the static
+// data segment. The slices alias machine state and are valid only until
+// the mutator next runs.
+type RootSegment struct {
+	Kind   string // heapdump.RootReg, heapdump.RootStack or heapdump.RootStatic
+	Thread int    // owning thread; 0 for the static segment
+	// Base is the simulated address of Mem[0] (0 for registers).
+	Base uint32
+	// Regs holds the register words (RootReg only).
+	Regs []uint32
+	// Mem holds the segment's bytes, a whole number of little-endian words
+	// (RootStack and RootStatic only).
+	Mem []byte
+}
+
+// WalkRoots calls fn for every root segment: each live thread's registers
+// and stack from its (word-aligned) stack pointer up, then the static
+// segment. In concurrent mode every live thread's registers and stack are
+// roots: a collection one thread triggers must see the pointers every
+// other thread still holds. The collector (ScanRoots) and heap snapshots
+// (emitRoots) both walk the roots through here, so they see the same set.
+func (c *Core) WalkRoots(fn func(RootSegment)) {
 	if c.threads != nil {
 		for i, t := range c.threads {
 			if t.done {
@@ -271,33 +290,36 @@ func (c *Core) scanRoots(visit func(gc.Addr)) {
 			if i == c.cur {
 				sp = c.SP // regs alias t.regs; only sp is cached in c
 			}
-			for _, r := range t.regs {
-				visit(r)
-			}
-			for a := sp &^ 3; a < t.hi; a += 4 {
-				w, err := c.read32raw(a)
-				if err == nil {
-					visit(w)
-				}
-			}
+			fn(RootSegment{Kind: heapdump.RootReg, Thread: i, Regs: t.regs})
+			fn(c.stackSegment(i, sp, t.hi))
 		}
 	} else {
-		for _, r := range c.Regs {
+		fn(RootSegment{Kind: heapdump.RootReg, Regs: c.Regs})
+		fn(c.stackSegment(0, c.SP, machine.StackTop))
+	}
+	fn(RootSegment{Kind: heapdump.RootStatic, Base: machine.DataBase, Mem: c.static[:len(c.static)&^3]})
+}
+
+// stackSegment is the live stack of one thread: the words from sp (rounded
+// down to a word boundary) up to the thread's stack top hi.
+func (c *Core) stackSegment(thread int, sp, hi uint32) RootSegment {
+	lo := sp &^ 3
+	if lo > hi {
+		lo = hi
+	}
+	return RootSegment{Kind: heapdump.RootStack, Thread: thread, Base: lo,
+		Mem: c.stack[lo-machine.StackLimit : hi-machine.StackLimit]}
+}
+
+// ScanRoots implements gc.RootScanner: registers go through visit one word
+// at a time, memory segments to the collector's bulk MarkSegment.
+func (c *Core) ScanRoots(visit func(gc.Addr)) {
+	c.WalkRoots(func(s RootSegment) {
+		for _, r := range s.Regs {
 			visit(r)
 		}
-		for a := c.SP &^ 3; a < machine.StackTop; a += 4 {
-			w, err := c.read32raw(a)
-			if err == nil {
-				visit(w)
-			}
-		}
-	}
-	base := machine.DataBase
-	for off := 0; off+4 <= len(c.static); off += 4 {
-		visit(uint32(c.static[off]) | uint32(c.static[off+1])<<8 |
-			uint32(c.static[off+2])<<16 | uint32(c.static[off+3])<<24)
-	}
-	_ = base
+		c.heap.MarkSegment(s.Mem)
+	})
 }
 
 // Stats exposes collector statistics mid-run (for tests).

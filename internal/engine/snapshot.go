@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
@@ -8,7 +9,6 @@ import (
 	"gcsafety/internal/faultinject"
 	"gcsafety/internal/gc"
 	"gcsafety/internal/heapdump"
-	"gcsafety/internal/machine"
 )
 
 // Heap snapshots. CaptureSnapshot reads the machine and heap without
@@ -62,44 +62,18 @@ func (c *Core) CaptureSnapshot(trigger, reason string, faultAddr uint32) (*heapd
 	return snap, nil
 }
 
-// emitRoots walks exactly the root set scanRoots feeds the collector —
-// every live thread's registers and stack words plus the static segment —
-// but with provenance (kind, thread, slot) so snapshots can render
-// "reg r3" or "static@0x2004".
+// emitRoots walks exactly the root set the collector scans (WalkRoots),
+// word by word with provenance (kind, thread, slot) so snapshots can
+// render "reg r3" or "static@0x2004".
 func (c *Core) emitRoots(emit func(kind string, thread int, slot, word uint32)) {
-	if c.threads != nil {
-		for i, t := range c.threads {
-			if t.done {
-				continue
-			}
-			sp := t.sp
-			if i == c.cur {
-				sp = c.SP // regs alias t.regs; only sp is cached in c
-			}
-			for ri, r := range t.regs {
-				emit(heapdump.RootReg, i, uint32(ri), r)
-			}
-			for a := sp &^ 3; a < t.hi; a += 4 {
-				if w, err := c.read32raw(a); err == nil {
-					emit(heapdump.RootStack, i, a, w)
-				}
-			}
+	c.WalkRoots(func(s RootSegment) {
+		for ri, r := range s.Regs {
+			emit(s.Kind, s.Thread, uint32(ri), r)
 		}
-	} else {
-		for ri, r := range c.Regs {
-			emit(heapdump.RootReg, 0, uint32(ri), r)
+		for off := 0; off+4 <= len(s.Mem); off += 4 {
+			emit(s.Kind, s.Thread, s.Base+uint32(off), binary.LittleEndian.Uint32(s.Mem[off:]))
 		}
-		for a := c.SP &^ 3; a < machine.StackTop; a += 4 {
-			if w, err := c.read32raw(a); err == nil {
-				emit(heapdump.RootStack, 0, a, w)
-			}
-		}
-	}
-	for off := 0; off+4 <= len(c.static); off += 4 {
-		w := uint32(c.static[off]) | uint32(c.static[off+1])<<8 |
-			uint32(c.static[off+2])<<16 | uint32(c.static[off+3])<<24
-		emit(heapdump.RootStatic, 0, machine.DataBase+uint32(off), w)
-	}
+	})
 }
 
 // RequestSnapshot asks a (possibly running) machine for a heap snapshot

@@ -1,5 +1,11 @@
 package gc
 
+import (
+	"bytes"
+	"encoding/binary"
+	"math/bits"
+)
+
 // ObjectBase maps an arbitrary address to the base address of the allocated
 // heap object containing it, or 0 if a does not point into any live object.
 // This is the paper's GC_base: interior pointers — addresses anywhere inside
@@ -138,14 +144,36 @@ func (h *Heap) drainMarkStack() {
 			// Cannot happen for a live object; guard rather than panic.
 			continue
 		}
-		obj := h.arena[off : off+size]
-		for i := 0; i+WordSize <= len(obj); i += WordSize {
-			w := Addr(obj[i]) | Addr(obj[i+1])<<8 | Addr(obj[i+2])<<16 | Addr(obj[i+3])<<24
-			if baseOnly {
-				h.markBaseOnly(w)
-			} else {
-				h.markAddr(w)
-			}
+		h.scanWords(h.arena[off:off+size], baseOnly)
+	}
+}
+
+// MarkSegment marks every object referenced, interior pointers included, by
+// a word of seg: the words are read little-endian at seg's 4-byte
+// boundaries, as the simulated machine stores them. It is the bulk form of
+// the visit function Collect hands to ScanRoots, for roots that live in
+// contiguous memory (a stack, a static data segment), and may be called
+// only from inside ScanRoots; anywhere else it does nothing.
+func (h *Heap) MarkSegment(seg []byte) {
+	if h.collecting {
+		h.scanWords(seg, false)
+	}
+}
+
+// scanWords marks every heap object a word of b refers to: any word inside
+// the object, or under baseOnly only its base address. The range test is
+// one unsigned compare (words below HeapBase wrap past the span), so the
+// non-pointer words that fill stacks and objects never reach markAddr.
+func (h *Heap) scanWords(b []byte, baseOnly bool) {
+	span := h.limit - HeapBase
+	for ; len(b) >= WordSize; b = b[WordSize:] {
+		w := binary.LittleEndian.Uint32(b)
+		switch {
+		case w-HeapBase >= span:
+		case baseOnly:
+			h.markBaseOnly(w)
+		default:
+			h.markAddr(w)
 		}
 	}
 }
@@ -155,6 +183,11 @@ func (h *Heap) drainMarkStack() {
 // freed slots rejoin their size-class free list. When Config.Poison is set,
 // reclaimed memory is filled with PoisonByte so that a GC-unsafe program
 // touching a prematurely collected object reads recognizably dead data.
+//
+// The bitmaps are processed 64 slots at a time. Every free slot of a kept
+// page (every slot whose mark bit is clear) is pushed on its class list in
+// page order, then ascending slot order, so the lists — heads and link
+// words alike — are exactly what a slot-at-a-time sweep would thread.
 func (h *Heap) sweep() {
 	var liveObj, liveBytes uint64
 	// The per-class free lists are rebuilt from scratch: threading freed
@@ -183,51 +216,65 @@ func (h *Heap) sweep() {
 			continue
 		}
 		var liveHere uint32
-		for i := uint32(0); i < ph.nobj; i++ {
-			if ph.markBit(i) {
-				liveHere++
-			}
+		for _, m := range ph.mark {
+			liveHere += uint32(bits.OnesCount64(m))
 		}
+		h.freeSlots(ph)
 		if liveHere == 0 {
-			for i := uint32(0); i < ph.nobj; i++ {
-				if ph.allocBit(i) {
-					h.stats.ObjectsFreed++
-					h.stats.BytesFreed += uint64(ph.objSize)
-					if h.cfg.Poison {
-						h.poison(ph.base+i*ph.objSize, ph.objSize)
-					}
-					ph.clearAlloc(i)
-				}
-			}
 			h.releaseSpan(ph)
 			continue
 		}
+		liveObj += uint64(liveHere)
+		liveBytes += uint64(liveHere) * uint64(ph.objSize)
 		kept = append(kept, ph)
-		class := ph.objSize / Granule
-		for i := uint32(0); i < ph.nobj; i++ {
-			obj := ph.base + i*ph.objSize
-			switch {
-			case ph.markBit(i):
-				liveObj++
-				liveBytes += uint64(ph.objSize)
-			case ph.allocBit(i):
-				h.stats.ObjectsFreed++
-				h.stats.BytesFreed += uint64(ph.objSize)
-				if h.cfg.Poison {
-					h.poison(obj, ph.objSize)
-				}
-				ph.clearAlloc(i)
-				h.setRawWord(obj, h.freeLists[class])
-				h.freeLists[class] = obj
-			default: // was already free: rethread
-				h.setRawWord(obj, h.freeLists[class])
-				h.freeLists[class] = obj
-			}
-		}
+		h.rethread(ph)
 	}
 	h.pages = kept
 	h.stats.LiveObjects = liveObj
 	h.stats.LiveBytes = liveBytes
+}
+
+// freeSlots reclaims the allocated-but-unmarked slots of a small-object
+// page: their alloc bits drop, their bytes count as freed and, under
+// Config.Poison, their memory is poisoned.
+func (h *Heap) freeSlots(ph *pageHeader) {
+	for wi, m := range ph.mark {
+		freed := ph.alloc[wi] &^ m
+		if freed == 0 {
+			continue
+		}
+		n := uint32(bits.OnesCount64(freed))
+		ph.alloc[wi] &^= freed
+		ph.allocated -= n
+		h.stats.ObjectsFreed += uint64(n)
+		h.stats.BytesFreed += uint64(n) * uint64(ph.objSize)
+		if h.cfg.Poison {
+			for ; freed != 0; freed &= freed - 1 {
+				i := uint32(wi*64 + bits.TrailingZeros64(freed))
+				h.poison(ph.base+i*ph.objSize, ph.objSize)
+			}
+		}
+	}
+}
+
+// rethread pushes every unmarked slot of a kept small-object page onto its
+// class free list, in ascending slot order.
+func (h *Heap) rethread(ph *pageHeader) {
+	class := ph.objSize / Granule
+	head := h.freeLists[class]
+	page := h.arena[ph.base-HeapBase:][:PageSize]
+	for wi, m := range ph.mark {
+		free := ^m
+		if rest := ph.nobj - uint32(wi*64); rest < 64 {
+			free &= 1<<rest - 1
+		}
+		for ; free != 0; free &= free - 1 {
+			off := uint32(wi*64+bits.TrailingZeros64(free)) * ph.objSize
+			binary.LittleEndian.PutUint32(page[off:], head)
+			head = ph.base + off
+		}
+	}
+	h.freeLists[class] = head
 }
 
 // releaseSpan unmaps a header's pages and returns them to the free pool.
@@ -243,9 +290,11 @@ func (h *Heap) releaseSpan(ph *pageHeader) {
 	h.freeSpans = append(h.freeSpans, span{page: first, npages: npages})
 }
 
+// poisonFill is the source poison copies from: one page of PoisonByte.
+var poisonFill = bytes.Repeat([]byte{PoisonByte}, PageSize)
+
 func (h *Heap) poison(a Addr, n uint32) {
-	off := a - HeapBase
-	for i := uint32(0); i < n; i++ {
-		h.arena[off+i] = PoisonByte
+	for b := h.arena[a-HeapBase:][:n]; len(b) > 0; {
+		b = b[copy(b, poisonFill):]
 	}
 }

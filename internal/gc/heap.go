@@ -1,5 +1,7 @@
 package gc
 
+import "encoding/binary"
+
 // A pageHeader describes one heap page (or a span of pages for a large
 // object). It is the analogue of Boehm's hblkhdr. Small-object pages carve
 // the page into nobj objects of objSize bytes each; large objects occupy a
@@ -323,14 +325,9 @@ func (h *Heap) rawWord(a Addr) (Addr, error) {
 	if a < HeapBase || int(off)+WordSize > len(h.arena) {
 		return 0, errf("read", a, "address outside heap")
 	}
-	b := h.arena[off : off+WordSize]
-	return Addr(b[0]) | Addr(b[1])<<8 | Addr(b[2])<<16 | Addr(b[3])<<24, nil
+	return binary.LittleEndian.Uint32(h.arena[off:]), nil
 }
 
 func (h *Heap) setRawWord(a Addr, w Addr) {
-	off := a - HeapBase
-	h.arena[off] = byte(w)
-	h.arena[off+1] = byte(w >> 8)
-	h.arena[off+2] = byte(w >> 16)
-	h.arena[off+3] = byte(w >> 24)
+	binary.LittleEndian.PutUint32(h.arena[a-HeapBase:], w)
 }
