@@ -2,6 +2,11 @@ package workloads
 
 import (
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 
 	"gcsafety/internal/cc/parser"
@@ -12,12 +17,18 @@ import (
 	"gcsafety/internal/peephole"
 )
 
+var update = flag.Bool("update", false, "rewrite testdata/sim.golden from the current runs")
+
+const simGolden = "testdata/sim.golden"
+
 type buildMode struct {
 	name        string
 	annotate    bool
 	mode        gcsafe.Mode
 	optimize    bool
 	postprocess bool
+	// adversarial runs under CollectAtEveryAlloc.
+	adversarial bool
 }
 
 var modes = []buildMode{
@@ -52,17 +63,81 @@ func runWorkload(t *testing.T, w Workload, bm buildMode) (*interp.Result, error)
 		peephole.Optimize(prog, cfg)
 	}
 	return interp.Run(prog, interp.Options{
-		Config:   cfg,
-		Input:    w.Input,
-		Validate: true,
+		Config:              cfg,
+		Input:               w.Input,
+		Validate:            true,
+		CollectAtEveryAlloc: bm.adversarial,
 	})
 }
 
+// simRecord is one run's simulated numbers as a sim.golden line: the
+// deterministic data every table is built from.
+func simRecord(w Workload, bm buildMode, res *interp.Result, err error) string {
+	line := fmt.Sprintf("%s %s: instrs=%d cycles=%d collections=%d alloced=%d",
+		w.Name, bm.name, res.Instrs, res.Cycles, res.GCStats.Collections, res.GCStats.ObjectsAlloced)
+	if err != nil {
+		line += " fault=" + err.Error()
+	}
+	return line
+}
+
+// simGoldens pins the simulated numbers of every TestWorkloadsAllModes
+// run: check compares one run's record with testdata/sim.golden, and
+// write rewrites the file (-update).
+type simGoldens struct {
+	want map[string]string // key (workload and mode) -> record
+	got  []string
+}
+
+func loadSimGoldens(t *testing.T) *simGoldens {
+	t.Helper()
+	g := &simGoldens{want: map[string]string{}}
+	if *update {
+		return g
+	}
+	data, err := os.ReadFile(simGolden)
+	if err != nil {
+		t.Fatalf("%v (rerun with -update to record it)", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		key, _, _ := strings.Cut(line, ":")
+		g.want[key] = line
+	}
+	return g
+}
+
+func (g *simGoldens) check(t *testing.T, line string) {
+	t.Helper()
+	g.got = append(g.got, line)
+	if *update {
+		return
+	}
+	key, _, _ := strings.Cut(line, ":")
+	if want := g.want[key]; line != want {
+		t.Errorf("simulated numbers differ from %s (rerun with -update if intended)\ngot:  %s\nwant: %s", simGolden, line, want)
+	}
+}
+
+func (g *simGoldens) write(t *testing.T) {
+	t.Helper()
+	if !*update {
+		return
+	}
+	sort.Strings(g.got)
+	if err := os.WriteFile(simGolden, []byte(strings.Join(g.got, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestWorkloadsAllModes(t *testing.T) {
+	golden := loadSimGoldens(t)
+	defer golden.write(t)
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			ref, err := runWorkload(t, w, buildMode{name: "-g reference"})
+			refMode := buildMode{name: "-g reference"}
+			ref, err := runWorkload(t, w, refMode)
+			golden.check(t, simRecord(w, refMode, ref, err))
 			if err != nil {
 				t.Fatalf("reference run failed: %v\noutput: %q", err, ref.Output)
 			}
@@ -78,6 +153,7 @@ func TestWorkloadsAllModes(t *testing.T) {
 				bm := bm
 				t.Run(bm.name, func(t *testing.T) {
 					res, err := runWorkload(t, w, bm)
+					golden.check(t, simRecord(w, bm, res, err))
 					isChecked := bm.mode == gcsafe.ModeChecked && bm.annotate
 					if isChecked && w.CheckedFails {
 						var ce *interp.CheckError
@@ -97,6 +173,17 @@ func TestWorkloadsAllModes(t *testing.T) {
 					}
 				})
 			}
+			t.Run("-O safe adversarial", func(t *testing.T) {
+				bm := buildMode{name: "-O safe adversarial", annotate: true, optimize: true, adversarial: true}
+				res, err := runWorkload(t, w, bm)
+				golden.check(t, simRecord(w, bm, res, err))
+				if err != nil {
+					t.Fatalf("faulted under collect-at-every-alloc: %v", err)
+				}
+				if res.Output != ref.Output {
+					t.Errorf("output differs from reference under collect-at-every-alloc")
+				}
+			})
 		})
 	}
 }
