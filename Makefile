@@ -1,9 +1,10 @@
 # Development gates for the gcsafety reproduction.
 #
-#   make check        the full pre-merge gate: gofmt, vet, build, tests under
-#                     the race detector, the full (non-short) test suite, a
-#                     10-second native-fuzzing smoke run per fuzz target, and
-#                     the gcsafed serve-smoke and chaos-smoke runs
+#   make check        the full pre-merge gate: gofmt, vet, build, the short
+#                     test suite under the race detector, the full test
+#                     suite, bench-smoke, a 10-second native-fuzzing smoke
+#                     run per fuzz target, and the pipeline-, elision-,
+#                     serve-, chaos-, heapdump- and cluster-smoke gates
 #   make test         tier-1: exactly what CI runs (see ROADMAP.md)
 #   make fuzz-smoke   just the fuzzing smoke runs
 #   make fuzz         a longer local fuzzing session (5 minutes per target)
@@ -13,9 +14,10 @@
 #                     plus the kill -9 warm-cache-recovery test
 #   make chaos        a heavier local chaos run (more requests, live daemon)
 #   make serve        run the daemon locally on the default port
-#   make bench        run the full benchmark suite and record it as
-#                     BENCH_PR10.json at the repo root (benchdiff JSON; gate
-#                     future changes with `make bench-compare`)
+#   make bench        run the full benchmark suite (the root package's and
+#                     the collector's) and record it as BENCH_PR10.json at
+#                     the repo root (benchdiff JSON; gate future changes
+#                     with `make bench-compare`)
 #   make bench-compare  diff the newest BENCH_*.json against the previous
 #                     one with benchdiff (exits 1 on a >10% regression)
 #   make bench-smoke  one-iteration benchmark pass piped through benchdiff
@@ -36,18 +38,14 @@
 #                     rotation, one node killed -9 mid-run; requires ≥99%
 #                     of logical requests to succeed and cluster-wide
 #                     computes within 1.2x the distinct-artifact baseline
-#   make engine-smoke  the execution-engine gate: a warm threaded rebuild is
-#                     100% stage-cache hits (lower stage included) and both
-#                     engines agree exactly on Instrs/Cycles/output for all
-#                     four Zorn workloads
 
 GO ?= go
 FUZZPKG := ./internal/fuzz
 FUZZTARGETS := FuzzDifferential FuzzParserRoundtrip FuzzFaultInjection FuzzTemporalDifferential
 
-.PHONY: check fmt-check vet build test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke engine-smoke
+.PHONY: check fmt-check vet build test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke
 
-check: fmt-check vet build race test bench-smoke fuzz-smoke pipeline-smoke elision-smoke engine-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
+check: fmt-check vet build race test bench-smoke fuzz-smoke pipeline-smoke elision-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
 
 fmt-check:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -104,9 +102,10 @@ chaos:
 # repeat is the least disturbed one, and the cold-cache first pass (which
 # pays the workload compiles) is discarded with it. Compare a working tree
 # against the previous record with: make bench && make bench-compare
+BENCHPKGS := . ./internal/gc
 BENCHOUT ?= BENCH_PR10.json
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 100ms -count 5 -timeout 30m . | $(GO) run ./cmd/benchdiff -parse > $(BENCHOUT)
+	$(GO) test -run '^$$' -bench . -benchtime 100ms -count 5 -timeout 30m $(BENCHPKGS) | $(GO) run ./cmd/benchdiff -parse > $(BENCHOUT)
 	@echo "wrote $(BENCHOUT)"
 
 # bench-compare gates the newest benchmark record against the one before
@@ -131,7 +130,7 @@ bench-compare:
 # without paying for a real measurement: one iteration of everything, parsed
 # to JSON, diffed against itself (identity must pass the regression gate).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -count 1 . | $(GO) run ./cmd/benchdiff -parse > /tmp/bench-smoke.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x -count 1 $(BENCHPKGS) | $(GO) run ./cmd/benchdiff -parse > /tmp/bench-smoke.json
 	$(GO) run ./cmd/benchdiff /tmp/bench-smoke.json /tmp/bench-smoke.json
 	@rm -f /tmp/bench-smoke.json
 
@@ -153,13 +152,6 @@ elision-smoke:
 # requires identical live-object counts and live bytes.
 heapdump-smoke:
 	$(GO) test -race -count=1 -run 'TestHeapdumpSmoke' ./cmd/gcsafed
-
-# The execution-engine gate: TestEngineSmoke warm-rebuilds every Zorn
-# workload for the threaded engine (must be 100% stage-cache hits, the
-# closure-lowering stage included) and runs it on both engines (simulated
-# instruction/cycle counts and output must be identical).
-engine-smoke:
-	$(GO) test -race -count=1 -run 'TestEngineSmoke' .
 
 # The distributed gate: TestClusterSmoke builds gcsafed and loadgen, peers
 # three real daemons, drives a mixed workload with chaos fault rotation,

@@ -28,7 +28,6 @@ import (
 	"gcsafety/internal/interp"
 	"gcsafety/internal/machine"
 	"gcsafety/internal/pipeline"
-	"gcsafety/internal/threaded"
 )
 
 // Mode selects the annotation mode of the preprocessor.
@@ -116,8 +115,6 @@ type Pipeline struct {
 	// Machine is the target configuration (default SPARCstation 10).
 	Machine *machine.Config
 	// Exec configures execution (entry point, GC policy, input...).
-	// Exec.Engine selects the backend: "interp" (default) or "threaded";
-	// threaded builds additionally run the cached Lower pipeline stage.
 	Exec interp.Options
 }
 
@@ -168,8 +165,7 @@ func BuildWithReportContext(ctx context.Context, name, src string, p Pipeline) (
 }
 
 // buildPipeline is the shared staged-build core: it resolves the machine
-// default, threads the execution engine into the stage graph (so threaded
-// runs get a cached Lower artifact) and normalizes stage errors.
+// default and normalizes stage errors.
 func buildPipeline(ctx context.Context, name, src string, p Pipeline) (*pipeline.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("build: %w", err)
@@ -184,7 +180,6 @@ func buildPipeline(ctx context.Context, name, src string, p Pipeline) (*pipeline
 		Optimize:        p.Optimize,
 		Post:            p.Postprocess,
 		Machine:         cfg,
-		Engine:          p.Exec.Engine,
 	})
 	if err != nil {
 		return nil, wrapBuildError(err)
@@ -233,15 +228,7 @@ func RunContext(ctx context.Context, name, src string, p Pipeline) (*Result, err
 	}
 	ex := p.Exec
 	ex.Config = cfg
-	var res *interp.Result
-	if bres.Lowered != nil {
-		// The build already lowered the program for the threaded engine;
-		// execute the cached artifact instead of re-lowering through the
-		// engine registry.
-		res, err = threaded.Run(ctx, bres.Lowered, ex)
-	} else {
-		res, err = interp.RunContext(ctx, bres.Prog, ex)
-	}
+	res, err := interp.RunContext(ctx, bres.Prog, ex)
 	return &Result{Exec: res, Program: bres.Prog, Annotate: bres.Annotate, Report: bres.Report}, err
 }
 

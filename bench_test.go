@@ -34,7 +34,7 @@ type tableMetric struct {
 // tableMetrics turns a table's cells into metrics: percentages as
 // %<column>/<workload>, the retained@exit column as
 // retained@exit_bytes/<workload>. Cells that render neither (failures,
-// unavailable cells, engine-throughput text) are left out.
+// unavailable cells, literal text) are left out.
 func tableMetrics(t *bench.Table) []tableMetric {
 	var ms []tableMetric
 	for _, r := range t.Rows {
@@ -292,43 +292,6 @@ func BenchmarkInterpThroughput(b *testing.B) {
 				b.ReportMetric(float64(cycles)*float64(b.N)/sec/1e6, "Mcycles/sec")
 			}
 		})
-	}
-}
-
-// BenchmarkEngineThroughput measures both execution engines — the
-// switch-dispatch interpreter and the closure-threaded backend — on the
-// two heaviest workloads, in simulated megacycles per host second. The
-// engines produce bit-identical simulated results (see the equivalence
-// tests and the fuzz matrix's engine twins); this benchmark is the
-// wall-clock half of the story, and BENCH_PR10.json records the
-// threaded/interp speedup it demonstrates.
-func BenchmarkEngineThroughput(b *testing.B) {
-	cfg := machine.SPARCstation10()
-	for _, name := range []string{"gawk", "gs"} {
-		w, ok := workloads.ByName(name)
-		if !ok {
-			b.Fatalf("no workload %q", name)
-		}
-		prog, _, err := Build(w.Name+".c", w.Source, Pipeline{Optimize: true, Machine: &cfg})
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, eng := range []string{"interp", "threaded"} {
-			b.Run(name+"/"+eng, func(b *testing.B) {
-				var cycles uint64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := interp.Run(prog, interp.Options{Config: cfg, Input: w.Input, Engine: eng})
-					if err != nil {
-						b.Fatal(err)
-					}
-					cycles = res.Cycles
-				}
-				if sec := b.Elapsed().Seconds(); sec > 0 {
-					b.ReportMetric(float64(cycles)*float64(b.N)/sec/1e6, "Mcycles/sec")
-				}
-			})
-		}
 	}
 }
 

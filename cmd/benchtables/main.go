@@ -1,8 +1,8 @@
 // Command benchtables regenerates every table in the paper's evaluation —
 // the three running-time slowdown tables (SPARCstation 2, SPARCstation 10,
 // Pentium 90), the object-code size expansion table, and the postprocessor
-// table — plus the elision and engine-throughput tables and the ablation
-// tables DESIGN.md calls out.
+// table — plus the elision table and the ablation tables DESIGN.md calls
+// out.
 //
 // Usage:
 //
@@ -47,14 +47,6 @@ func main() {
 	fmt.Println(t)
 
 	t, err = bench.ElisionTable(machine.SPARCstation10())
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(t)
-
-	// Host-side throughput of the two execution engines (wall clock, not
-	// simulated time — varies run to run, see DESIGN.md).
-	t, err = bench.EngineTable(machine.SPARCstation10())
 	if err != nil {
 		fatal(err)
 	}

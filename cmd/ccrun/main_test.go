@@ -151,3 +151,24 @@ func TestCCRunFaultInjection(t *testing.T) {
 		t.Fatalf("bad spec: err = %v, want exit status 2", err)
 	}
 }
+
+// A negative -heap-top is a usage error (exit 2), not a panic in the
+// retainer report.
+func TestCCRunRejectsNegativeHeapTop(t *testing.T) {
+	bin := buildCCRun(t)
+	src := filepath.Join(t.TempDir(), "prog.c")
+	if err := os.WriteFile(src, []byte(ccrunProg), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stderr strings.Builder
+	cmd := exec.Command(bin, "-heap-profile", "-heap-top", "-1", src)
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+		t.Fatalf("-heap-top -1: err = %v, want exit status 2; stderr %q", err, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), "-heap-top") {
+		t.Fatalf("-heap-top -1: stderr %q does not name the flag", stderr.String())
+	}
+}

@@ -7,8 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"gcsafety"
-	"gcsafety/internal/interp"
 	"gcsafety/internal/workloads"
 )
 
@@ -31,72 +29,6 @@ func TestGoldenFilesMatchWorkloadCatalogue(t *testing.T) {
 		if string(want) != w.Want {
 			t.Errorf("%s.want has drifted from workloads.Hazards(): file %q, catalogue %q",
 				w.Name, want, w.Want)
-		}
-	}
-}
-
-// TestHazardEngineEquivalence drives every golden hazard through the
-// public API on both execution engines, under a benign and an adversarial
-// collection schedule, in the safe and the temporal-checker builds. The
-// engines must agree exactly: same detection outcome (error for error,
-// message for message, fault address for fault address) and the same
-// simulated output, instruction and cycle counts on clean runs.
-func TestHazardEngineEquivalence(t *testing.T) {
-	for _, w := range workloads.Hazards() {
-		src, err := os.ReadFile(filepath.Join("testdata", w.Name+".c"))
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		benign := interp.Options{Validate: true, GCEveryInstrs: 211, TriggerBytes: 8 << 10, HeapProfile: true}
-		adversarial := interp.Options{Validate: true, CollectAtEveryAlloc: true, HeapProfile: true}
-		if w.Threads > 1 {
-			benign.Threads = w.Threads
-			adversarial.Threads = w.Threads
-			adversarial.CollectAtSwitch = true
-		}
-		temporal := func(e interp.Options) interp.Options { e.Temporal = true; return e }
-		for _, c := range []struct {
-			build, sched string
-			pipe         gcsafety.Pipeline
-		}{
-			{"safe", "benign", gcsafety.Pipeline{Optimize: true, Annotate: true, AnnotateOptions: gcsafety.Safe(), Exec: benign}},
-			{"safe", "adversarial", gcsafety.Pipeline{Optimize: true, Annotate: true, AnnotateOptions: gcsafety.Safe(), Exec: adversarial}},
-			{"temporal", "benign", gcsafety.Pipeline{Optimize: true, Annotate: true, AnnotateOptions: gcsafety.Temporal(), Exec: temporal(benign)}},
-			{"temporal", "adversarial", gcsafety.Pipeline{Optimize: true, Annotate: true, AnnotateOptions: gcsafety.Temporal(), Exec: temporal(adversarial)}},
-		} {
-			c := c
-			t.Run(w.Name+"/"+c.build+"/"+c.sched, func(t *testing.T) {
-				p := c.pipe
-				p.Exec.Engine = "interp"
-				want, wantErr := gcsafety.Run(w.Name+".c", string(src), p)
-				p.Exec.Engine = "threaded"
-				got, gotErr := gcsafety.Run(w.Name+".c", string(src), p)
-				if (wantErr == nil) != (gotErr == nil) ||
-					(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-					t.Fatalf("engines disagree on classification:\n  interp:   %v\n  threaded: %v", wantErr, gotErr)
-				}
-				if (want.Exec == nil) != (got.Exec == nil) {
-					t.Fatalf("result presence diverges: interp %v, threaded %v", want.Exec != nil, got.Exec != nil)
-				}
-				if want.Exec == nil {
-					return
-				}
-				if want.Exec.Output != got.Exec.Output ||
-					want.Exec.Instrs != got.Exec.Instrs ||
-					want.Exec.Cycles != got.Exec.Cycles {
-					t.Errorf("simulated results diverge:\n  interp:   %q instrs=%d cycles=%d\n  threaded: %q instrs=%d cycles=%d",
-						want.Exec.Output, want.Exec.Instrs, want.Exec.Cycles,
-						got.Exec.Output, got.Exec.Instrs, got.Exec.Cycles)
-				}
-				ws, gs := want.Exec.Snapshot, got.Exec.Snapshot
-				if (ws == nil) != (gs == nil) {
-					t.Fatalf("snapshot presence diverges: interp %v, threaded %v", ws != nil, gs != nil)
-				}
-				if ws != nil && (ws.Trigger != gs.Trigger || ws.FaultAddr != gs.FaultAddr) {
-					t.Errorf("violation classification diverges:\n  interp:   trigger=%q addr=%#x\n  threaded: trigger=%q addr=%#x",
-						ws.Trigger, ws.FaultAddr, gs.Trigger, gs.FaultAddr)
-				}
-			})
 		}
 	}
 }

@@ -43,11 +43,6 @@ type Treatment struct {
 	// checks) that the pipeline's Liveness stage proves redundant are
 	// dropped before codegen.
 	Elide bool
-	// Engine names the execution backend the cell runs on ("" = the
-	// default interpreter). Simulated results are engine-invariant by
-	// contract, but the field still folds into the cell key when set: a
-	// cell measured on another engine is a distinct experiment.
-	Engine string
 	// Gcsafe overrides the default annotator options (ablations).
 	Gcsafe *gcsafe.Options
 }
@@ -170,10 +165,6 @@ func cellKey(w workloads.Workload, tr Treatment, cfg machine.Config) artifact.Ke
 	if tr.Elide {
 		k = k.Bool(true)
 	}
-	// A non-default engine likewise folds in only when named.
-	if tr.Engine != "" {
-		k = k.Str(tr.Engine)
-	}
 	return k.Sum()
 }
 
@@ -218,7 +209,6 @@ func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measu
 		Optimize:        tr.Optimize,
 		Post:            tr.Post,
 		Machine:         cfg,
-		Engine:          tr.Engine,
 	})
 	if err != nil {
 		var se *pipeline.StageError
@@ -237,7 +227,6 @@ func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measu
 	prog := b.Prog
 	m := &Measurement{Size: prog.Size()}
 	res, err := interp.Run(prog, interp.Options{
-		Engine:    tr.Engine,
 		Config:    cfg,
 		Input:     w.Input,
 		Temporal:  tr.Temporal,
@@ -340,8 +329,8 @@ type Cell struct {
 	Fails     bool    // "<fails>" (gawk checked)
 	Unavail   bool    // "-" (cfrac -g)
 	FailsNote string
-	// Text renders literally when non-empty: the retained-size and
-	// engine-throughput columns are absolute values, not percentages.
+	// Text renders literally when non-empty: the retained-size column is
+	// an absolute value, not a percentage.
 	Text string
 	// Bytes is the byte count a retained-size cell renders.
 	Bytes uint64

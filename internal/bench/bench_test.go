@@ -279,31 +279,6 @@ func TestRetainedColumn(t *testing.T) {
 	}
 }
 
-// TestEngineTable pins the engine-throughput table's shape: a rate pair
-// plus ratio per workload, every rate positive. The equivalence contract
-// (identical simulated Instrs/Cycles/output) is enforced inside
-// EngineTable itself — a divergence surfaces here as an error.
-func TestEngineTable(t *testing.T) {
-	tbl, err := EngineTable(machine.SPARCstation10())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("\n%s", tbl)
-	if len(tbl.Rows) != len(workloads.All()) {
-		t.Fatalf("want %d rows, got %d", len(workloads.All()), len(tbl.Rows))
-	}
-	for _, r := range tbl.Rows {
-		if len(r.Cells) != 3 {
-			t.Fatalf("%s: want 3 cells, got %d", r.Workload, len(r.Cells))
-		}
-		for _, c := range r.Cells {
-			if c.Text == "" || strings.HasPrefix(c.Text, "-") {
-				t.Errorf("%s: bad throughput cell %q", r.Workload, c.Text)
-			}
-		}
-	}
-}
-
 // TestCellKeyStableForClassicTreatments pins the cache-compatibility rule
 // of the temporal/concurrent extension: the new Treatment fields fold into
 // the cell key only when actually set, so every pre-existing treatment
@@ -327,12 +302,6 @@ func TestCellKeyStableForClassicTreatments(t *testing.T) {
 	}
 	if cellKey(w, OptSafeConcurrent, cfg) == cellKey(w, OptSafe, cfg) {
 		t.Error("concurrent treatment collides with the single-thread treatment")
-	}
-	// The engine axis follows the same fold-when-set rule.
-	onThreaded := OptSafe
-	onThreaded.Engine = "threaded"
-	if cellKey(w, onThreaded, cfg) == cellKey(w, OptSafe, cfg) {
-		t.Error("engine-set treatment collides with the default-engine treatment")
 	}
 }
 

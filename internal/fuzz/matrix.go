@@ -7,7 +7,6 @@ import (
 	"strings"
 
 	"gcsafety/internal/artifact"
-	"gcsafety/internal/engine"
 	"gcsafety/internal/faultinject"
 	"gcsafety/internal/gc"
 	"gcsafety/internal/gcsafe"
@@ -15,7 +14,6 @@ import (
 	"gcsafety/internal/machine"
 	"gcsafety/internal/par"
 	"gcsafety/internal/pipeline"
-	"gcsafety/internal/threaded"
 )
 
 // Annotation selects the preprocessing treatment of a program.
@@ -77,12 +75,6 @@ type Treatment struct {
 	// matrix: both must reproduce the model, so any elision that changes
 	// behavior — or drops a check that should fire — is a violation.
 	Elide bool
-	// Engine names the execution backend ("" = the default switch-dispatch
-	// interpreter). The matrix pairs every treatment with a twin on the
-	// other engine and requires bit-identical outcomes — output, fault,
-	// Instrs and Cycles — so a second engine is differentially tested
-	// across the whole cube, not just on golden workloads.
-	Engine string
 }
 
 // defaultSchedSeed is the fixed interleaving seed of the standard
@@ -119,9 +111,6 @@ func (t Treatment) Name() string {
 	if t.Adversarial {
 		b.WriteString(" adv")
 	}
-	if t.Engine != "" {
-		b.WriteString(" " + t.Engine)
-	}
 	return b.String()
 }
 
@@ -144,16 +133,11 @@ func (t Treatment) MustAgree() bool {
 	return !(t.Annotate == AnnotateNone && t.Optimize)
 }
 
-// TreatmentResult is the outcome of running one treatment. Instrs and
-// Cycles are the simulated counts — the quantities the engine-twin
-// comparison requires to be bit-identical, because they are the
-// reproduction's data.
+// TreatmentResult is the outcome of running one treatment.
 type TreatmentResult struct {
 	Treatment
 	Output string
 	Err    error // run-time fault, or nil
-	Instrs uint64
-	Cycles uint64
 }
 
 // Agreed reports whether the run completed and reproduced the model.
@@ -189,15 +173,6 @@ type MatrixOptions struct {
 	// and heap — and results are classified in treatment order afterwards,
 	// so the MatrixResult is identical at any width.
 	Parallel int
-	// Engine is the backend every base treatment runs on ("" = interp).
-	// The engine twins re-run the cube on the other engine.
-	Engine string
-	// SkipEngineTwins drops the engine-twin comparison runs (halving the
-	// matrix cost for callers that only need one engine's classification).
-	// Twin runs are also skipped when Faults is set: a fault set's firing
-	// schedules are consumed statefully in run order, so two engines
-	// cannot see the same injections and the comparison is meaningless.
-	SkipEngineTwins bool
 }
 
 // MatrixResult aggregates all treatment runs of one program.
@@ -219,24 +194,6 @@ type MatrixResult struct {
 	// some other way is a Violation — a missed detection is as much a
 	// finding as a wrong one.
 	TemporalDetections []TreatmentResult
-	// EngineDivergences are treatment pairs whose two engines disagreed on
-	// any simulated quantity — output, fault text, Instrs or Cycles. The
-	// bit-identical contract says this must always be empty; any entry is
-	// an engine bug (and a finding of the same severity as a Violation).
-	EngineDivergences []EngineDivergence
-}
-
-// EngineDivergence reports one engine-twin disagreement.
-type EngineDivergence struct {
-	Treatment         // the base treatment (Treatment.Engine = base engine)
-	TwinEngine string // the engine the twin ran on
-	Field      string // "output", "error", "instrs" or "cycles"
-	Base, Twin string // the two values, rendered
-}
-
-func (d EngineDivergence) String() string {
-	return fmt.Sprintf("[%s] %s diverged vs %s: %q vs %q",
-		d.Name(), d.Field, d.TwinEngine, d.Base, d.Twin)
 }
 
 // PrematureReclamations counts unsafe failures whose fault is the
@@ -410,7 +367,6 @@ func runTreatment(ctx context.Context, runner *pipeline.Runner, p *Program, t Tr
 		Optimize:        t.Optimize,
 		Post:            t.Post,
 		Machine:         t.Machine,
-		Engine:          t.Engine,
 	})
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -436,7 +392,7 @@ func runTreatment(ctx context.Context, runner *pipeline.Runner, p *Program, t Tr
 	prog := b.Prog
 	exec := interp.Options{
 		Config: t.Machine, Validate: true, MaxInstrs: maxInstrs, Faults: faults,
-		Temporal: t.Annotate == AnnotateTemporal, Engine: t.Engine,
+		Temporal: t.Annotate == AnnotateTemporal,
 	}
 	if t.Threads > 1 {
 		exec.Threads = t.Threads
@@ -460,8 +416,6 @@ func runTreatment(ctx context.Context, runner *pipeline.Runner, p *Program, t Tr
 	res, err := interp.RunContext(ctx, prog, exec)
 	if res != nil {
 		r.Output = res.Output
-		r.Instrs = res.Instrs
-		r.Cycles = res.Cycles
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return r, fmt.Errorf("matrix: %w", err)
@@ -488,26 +442,8 @@ func RunMatrix(p *Program, opt MatrixOptions) (*MatrixResult, error) {
 func RunMatrixContext(ctx context.Context, p *Program, opt MatrixOptions) (*MatrixResult, error) {
 	m := &MatrixResult{Program: p}
 	ts := Treatments(opt)
-	for i := range ts {
-		ts[i].Engine = opt.Engine
-	}
-	// Engine twins: the whole cube again on the other backend. Every
-	// simulated quantity must match the base run exactly; see
-	// MatrixOptions.SkipEngineTwins for why fault campaigns opt out.
-	var twins []Treatment
-	if !opt.SkipEngineTwins && opt.Faults == nil {
-		twinEngine := threaded.Name
-		if opt.Engine == threaded.Name {
-			twinEngine = engine.DefaultName
-		}
-		twins = Treatments(opt)
-		for i := range twins {
-			twins[i].Engine = twinEngine
-		}
-	}
 	results := make([]TreatmentResult, len(ts))
-	twinResults := make([]TreatmentResult, len(twins))
-	errs := make([]error, len(ts)+len(twins))
+	errs := make([]error, len(ts))
 	width := opt.Parallel
 	if width <= 0 {
 		width = par.Default()
@@ -516,24 +452,14 @@ func RunMatrixContext(ctx context.Context, p *Program, opt MatrixOptions) (*Matr
 	// front end (and often whole compiled programs) through the stage
 	// cache; concurrent treatments coalesce per stage via singleflight.
 	runner := pipeline.NewRunner(artifact.New(0))
-	par.ForEach(width, len(ts)+len(twins), func(i int) {
-		if i < len(ts) {
-			results[i], errs[i] = runTreatment(ctx, runner, p, ts[i], opt.MaxInstrs, opt.Faults)
-		} else {
-			twinResults[i-len(ts)], errs[i] = runTreatment(ctx, runner, p, twins[i-len(ts)], opt.MaxInstrs, opt.Faults)
-		}
+	par.ForEach(width, len(ts), func(i int) {
+		results[i], errs[i] = runTreatment(ctx, runner, p, ts[i], opt.MaxInstrs, opt.Faults)
 	})
 	for i, t := range ts {
 		if err := errs[i]; err != nil {
 			return m, fmt.Errorf("%s [%s]: %w", p.Label, t.Name(), err)
 		}
 	}
-	for i, t := range twins {
-		if err := errs[len(ts)+i]; err != nil {
-			return m, fmt.Errorf("%s [%s]: %w", p.Label, t.Name(), err)
-		}
-	}
-	m.EngineDivergences = compareEngines(ts, results, twins, twinResults)
 	for i, t := range ts {
 		r := results[i]
 		m.Results = append(m.Results, r)
@@ -564,44 +490,6 @@ func RunMatrixContext(ctx context.Context, p *Program, opt MatrixOptions) (*Matr
 		}
 	}
 	return m, nil
-}
-
-// compareEngines pairs each base treatment with its engine twin and
-// reports every simulated quantity that differs. Fault comparison is by
-// rendered error text: FaultError carries the function, pc and message,
-// so identical text means the two engines faulted at the same
-// instruction for the same reason.
-func compareEngines(ts []Treatment, base []TreatmentResult, twins []Treatment, twinResults []TreatmentResult) []EngineDivergence {
-	var out []EngineDivergence
-	for i := range twins {
-		b, w := base[i], twinResults[i]
-		div := func(field, bv, wv string) {
-			out = append(out, EngineDivergence{
-				Treatment: ts[i], TwinEngine: twins[i].Engine,
-				Field: field, Base: bv, Twin: wv,
-			})
-		}
-		if b.Output != w.Output {
-			div("output", b.Output, w.Output)
-		}
-		if be, we := errText(b.Err), errText(w.Err); be != we {
-			div("error", be, we)
-		}
-		if b.Instrs != w.Instrs {
-			div("instrs", fmt.Sprint(b.Instrs), fmt.Sprint(w.Instrs))
-		}
-		if b.Cycles != w.Cycles {
-			div("cycles", fmt.Sprint(b.Cycles), fmt.Sprint(w.Cycles))
-		}
-	}
-	return out
-}
-
-func errText(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
 }
 
 // Describe renders a violation report: the treatment, what was expected,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"gcsafety/internal/artifact"
-	"gcsafety/internal/engine"
 	"gcsafety/internal/gc"
 	"gcsafety/internal/interp"
 	"gcsafety/internal/machine"
@@ -79,7 +78,7 @@ func captureHeap(b *testing.B, name string) *capturedHeap {
 	h.SetRoots(gc.RootFunc(func(visit func(gc.Addr)) {
 		if n++; n == target {
 			c = &capturedHeap{heap: h.Clone()}
-			m.WalkRoots(func(s engine.RootSegment) {
+			m.WalkRoots(func(s interp.RootSegment) {
 				c.regs = append(c.regs, s.Regs...)
 				if len(s.Mem) > 0 {
 					c.segs = append(c.segs, append([]byte(nil), s.Mem...))

@@ -142,6 +142,18 @@ func TestDominatorsEmptyHeap(t *testing.T) {
 	}
 }
 
+func TestTopRetainersNonPositive(t *testing.T) {
+	a := Analyze(buildSnapshot([]uint32{8, 16}, map[int][]int{0: {1}}, []int{0}))
+	if got := len(a.TopRetainers(1)); got != 1 {
+		t.Fatalf("TopRetainers(1) returned %d rows, want 1", got)
+	}
+	for _, n := range []int{0, -1} {
+		if got := a.TopRetainers(n); len(got) != 0 {
+			t.Errorf("TopRetainers(%d) returned %d rows, want none", n, len(got))
+		}
+	}
+}
+
 func TestDominatorsUnreachableObjects(t *testing.T) {
 	// 2 and 3 reference each other but no root reaches them.
 	s := buildSnapshot([]uint32{8, 16, 32, 64},

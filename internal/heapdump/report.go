@@ -31,8 +31,12 @@ type Retainer struct {
 }
 
 // TopRetainers returns the n objects with the largest retained sizes,
-// ties broken by base address (deterministic for golden files).
+// ties broken by base address (deterministic for golden files). It
+// returns no rows for n <= 0.
 func (a *Analysis) TopRetainers(n int) []Retainer {
+	if n <= 0 {
+		return nil
+	}
 	all := make([]Retainer, 0, len(a.Snap.Objects))
 	for i := range a.Snap.Objects {
 		all = append(all, Retainer{

@@ -14,7 +14,6 @@ import (
 	"gcsafety/internal/gcsafe"
 	"gcsafety/internal/machine"
 	"gcsafety/internal/peephole"
-	"gcsafety/internal/threaded"
 	"gcsafety/internal/workloads"
 )
 
@@ -206,10 +205,9 @@ func TestVersionBumpInvalidatesStage(t *testing.T) {
 func TestStageFaultInjection(t *testing.T) {
 	w := workloads.All()[0]
 	for _, st := range Stages() {
-		// Elide makes the optional Liveness stage run and the threaded
-		// engine makes Lower run, so every fault point in Stages() is
-		// reachable from one configuration.
-		o := Options{Optimize: true, Annotate: true, Post: true, Machine: machine.SPARCstation10(), Engine: threaded.Name}
+		// Elide makes the optional Liveness stage run, so every fault
+		// point in Stages() is reachable from one configuration.
+		o := Options{Optimize: true, Annotate: true, Post: true, Machine: machine.SPARCstation10()}
 		o.AnnotateOptions.Elide = true
 		r := NewRunner(artifact.New(0))
 		faults, err := faultinject.Parse(st.FaultPoint()+"=error", 1)

@@ -503,3 +503,13 @@ func machineByName(name string) (machine.Config, error) {
 	}
 	return machine.Config{}, errf(http.StatusBadRequest, "unknown machine %q (want ss2, ss10 or p90)", name)
 }
+
+// checkEngine validates a request's "engine" field. The field predates
+// the single executor and stays for wire compatibility: "" and "interp"
+// name the interpreter, anything else is a 400.
+func checkEngine(name string) error {
+	if name != "" && name != "interp" {
+		return errf(http.StatusBadRequest, "unknown engine %q (want interp)", name)
+	}
+	return nil
+}

@@ -55,6 +55,20 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 	return resp, data
 }
 
+func getMetrics(t *testing.T, baseURL string) Snapshot {
+	t.Helper()
+	resp, err := http.Get(baseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var s Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func unmarshalInto(t *testing.T, data []byte, v any) {
 	t.Helper()
 	if err := json.Unmarshal(data, v); err != nil {
@@ -226,12 +240,42 @@ int main() {
 	if rr.Fault != "" || rr.Output != "joined" {
 		t.Fatalf("concurrent run response: %+v", rr)
 	}
+	// An out-of-range thread count is rejected before the build: the
+	// request (a cell not compiled yet) must not cost a compile.
+	before := getMetrics(t, ts.URL).Compiles
 	resp, data = postJSON(t, ts.URL+"/v1/run", RunRequest{
 		CompileRequest: CompileRequest{Name: "mt.c", Source: mtC, Optimize: true},
 		Threads:        1000,
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("threads=1000: status = %d, want 400: %s", resp.StatusCode, data)
+	}
+	if after := getMetrics(t, ts.URL).Compiles; after != before {
+		t.Fatalf("threads=1000: compiles went from %d to %d, want no compile", before, after)
+	}
+}
+
+// TestEngineField pins the wire contract of the "engine" field on
+// /v1/run and /v1/matrix: "" and "interp" name the one executor, any
+// other name is a 400.
+func TestEngineField(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, c := range []struct {
+		engine string
+		want   int
+	}{{"", http.StatusOK}, {"interp", http.StatusOK}, {"threaded", http.StatusBadRequest}} {
+		resp, data := postJSON(t, ts.URL+"/v1/run", map[string]any{
+			"name": "t.c", "source": helloC, "optimize": true, "engine": c.engine,
+		})
+		if resp.StatusCode != c.want {
+			t.Errorf("/v1/run engine %q: status = %d, want %d: %s", c.engine, resp.StatusCode, c.want, data)
+		}
+		resp, data = postJSON(t, ts.URL+"/v1/matrix", map[string]any{
+			"seed": 1, "steps": 2, "machines": []string{"ss10"}, "skip_adversarial": true, "engine": c.engine,
+		})
+		if resp.StatusCode != c.want {
+			t.Errorf("/v1/matrix engine %q: status = %d, want %d: %s", c.engine, resp.StatusCode, c.want, data)
+		}
 	}
 }
 
@@ -454,26 +498,14 @@ func TestConcurrentRunsOnSharedProgram(t *testing.T) {
 
 func TestMetricsAdvance(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	snap := func() Snapshot {
-		resp, err := http.Get(ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var s Snapshot
-		if err := json.NewDecoder(resp.Body).Decode(&s); err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	before := snap()
+	before := getMetrics(t, ts.URL)
 	postJSON(t, ts.URL+"/v1/run", RunRequest{
 		CompileRequest: CompileRequest{Name: "t.c", Source: helloC, Optimize: true},
 	})
 	postJSON(t, ts.URL+"/v1/run", RunRequest{
 		CompileRequest: CompileRequest{Name: "t.c", Source: helloC, Optimize: true},
 	})
-	after := snap()
+	after := getMetrics(t, ts.URL)
 	run := after.Endpoints["/v1/run"]
 	if run.Requests != before.Endpoints["/v1/run"].Requests+2 {
 		t.Fatalf("request counter did not advance: %+v", run)

@@ -41,11 +41,7 @@ type wireCompiled struct {
 // the server's whole-product annotate/compile kinds plus the pipeline's
 // per-stage compiled-program kinds and the heapdump snapshot kind,
 // registered against one registry so a single disk directory persists
-// every family across restarts. The Lower stage's closure artifacts
-// (*threaded.Program) deliberately have no codec: closures cannot be
-// serialized, every Encode returns !ok, and the artifact — like the
-// front-end pointer graphs — stays memory-tier only and is never pushed
-// to peers; a restart or a peer miss just re-lowers (cheap, linear).
+// every family across restarts.
 func artifactCodec() artifact.DiskCodec {
 	reg := artifact.NewCodecRegistry()
 	reg.Register(kindAnnotate, artifact.Codec{Encode: encodeAnnotated, Decode: decodeAnnotated})
