@@ -265,8 +265,8 @@ func BenchmarkAblationTriggerPolicy(b *testing.B) {
 
 // BenchmarkInterpThroughput measures raw interpreter speed — simulated
 // megacycles per host second — on the two heaviest workloads. This is the
-// number the dispatch fast path in internal/interp/internal/dispatch is
-// tuned against; EXPERIMENTS.md records its history.
+// number the dispatch loop in internal/interp/dispatch.go is tuned
+// against; EXPERIMENTS.md records its history.
 func BenchmarkInterpThroughput(b *testing.B) {
 	cfg := machine.SPARCstation10()
 	for _, name := range []string{"gawk", "gs"} {
@@ -297,7 +297,10 @@ func BenchmarkInterpThroughput(b *testing.B) {
 
 // BenchmarkAllTables regenerates every table of the evaluation from a cold
 // cache, sequentially (width 1) and with the parallel cell fan-out
-// (default width). The two variants produce byte-identical tables — see
+// (default width): the three slowdown tables, then the code-size,
+// postprocessor, elision and hazard tables on the SPARCstation 10 — the
+// same cold build as the repo benchmark's paper-tables operation. The two
+// variants produce byte-identical tables — see
 // TestTablesParallelDeterministic — so this benchmark is purely about
 // wall clock.
 func BenchmarkAllTables(b *testing.B) {
@@ -308,11 +311,14 @@ func BenchmarkAllTables(b *testing.B) {
 			}
 		}
 		cfg := machine.SPARCstation10()
-		if _, err := bench.CodeSizeTable(cfg); err != nil {
-			return err
+		for _, table := range []func(machine.Config) (*bench.Table, error){
+			bench.CodeSizeTable, bench.PostprocessorTable, bench.ElisionTable, bench.HazardTable,
+		} {
+			if _, err := table(cfg); err != nil {
+				return err
+			}
 		}
-		_, err := bench.PostprocessorTable(cfg)
-		return err
+		return nil
 	}
 	for _, mode := range []struct {
 		name  string

@@ -93,7 +93,8 @@ type Measurement struct {
 // computed once, no matter how many tables ask for it. Before this cache
 // each table recompiled (and re-ran) its baseline and repeated cells from
 // scratch; see EXPERIMENTS.md ("Artifact-cache speedup") for the measured
-// effect. Unbounded: the cell space is the small finite treatment matrix.
+// effect. The cells' executions (execute) live here too, under their own
+// keys. Unbounded: the cell space is the small finite treatment matrix.
 var cells = artifact.New(0)
 
 // pipe is the stage-graph pipeline behind every cell build. Cells cache
@@ -186,11 +187,36 @@ func Measure(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measureme
 	return v.(*Measurement), nil
 }
 
-// measureCell builds one cell on the stage-graph pipeline and runs it.
-// The compiled program is shared through the pipeline's artifact cache
-// (the interpreter never mutates it), so cells differing only in input
-// or expected output reuse the whole build.
+// measureCell builds one cell, executes it and prices the execution on
+// the cell's machine. The build and the execution are both shared: the
+// pipeline caches the program, and execute runs it once for every cell
+// that differs only in cost model.
 func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measurement, error) {
+	b, x, err := buildAndExecute(w, tr, cfg)
+	if err != nil {
+		return nil, err
+	}
+	m := &Measurement{Size: b.Prog.Size()}
+	if x.err != nil {
+		if _, ok := findCheckError(x.err); ok {
+			m.CheckFailed = true
+			return m, nil
+		}
+		return nil, fmt.Errorf("%s [%s]: %w", w.Name, tr.Name, x.err)
+	}
+	m.Cycles = x.res.Price(cfg)
+	m.Instrs = x.res.Instrs
+	m.Output = x.res.Output
+	m.Collections = x.res.GCStats.Collections
+	if w.Want != "" && x.res.Output != w.Want {
+		return nil, fmt.Errorf("%s [%s]: wrong output", w.Name, tr.Name)
+	}
+	return m, nil
+}
+
+// buildAndExecute builds one cell's program on the stage-graph pipeline
+// and executes it.
+func buildAndExecute(w workloads.Workload, tr Treatment, cfg machine.Config) (*pipeline.Result, *execution, error) {
 	opts := gcsafe.Options{}
 	if tr.Gcsafe != nil {
 		opts = *tr.Gcsafe
@@ -215,81 +241,94 @@ func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measu
 		if errors.As(err, &se) {
 			switch se.Stage {
 			case pipeline.StageLex, pipeline.StageParse, pipeline.StageTypecheck:
-				return nil, fmt.Errorf("%s: parse: %w", w.Name, se.Err)
+				return nil, nil, fmt.Errorf("%s: parse: %w", w.Name, se.Err)
 			case pipeline.StageAnnotate:
-				return nil, fmt.Errorf("%s: annotate: %w", w.Name, se.Err)
+				return nil, nil, fmt.Errorf("%s: annotate: %w", w.Name, se.Err)
 			default:
-				return nil, fmt.Errorf("%s: compile: %w", w.Name, se.Err)
+				return nil, nil, fmt.Errorf("%s: compile: %w", w.Name, se.Err)
 			}
 		}
-		return nil, fmt.Errorf("%s: %w", w.Name, err)
+		return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	prog := b.Prog
-	m := &Measurement{Size: prog.Size()}
-	res, err := interp.Run(prog, interp.Options{
-		Config:    cfg,
-		Input:     w.Input,
-		Temporal:  tr.Temporal,
-		Threads:   tr.Threads,
-		SchedSeed: tr.SchedSeed,
+	x, err := execute(b, w, tr, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b, x, nil
+}
+
+// execution is one distinct run of a compiled program: its result or its
+// error, and for the optimized baseline the retained bytes at exit.
+type execution struct {
+	res      *interp.Result // nil when err is set; Snapshot dropped
+	err      error
+	retained uint64
+}
+
+// profiled reports whether a cell's execution is the unannotated
+// optimized baseline, whose run also measures the retained-at-exit column
+// (MeasureRetained).
+func profiled(tr Treatment) bool {
+	return tr.Optimize && !tr.Annotate && !tr.Post && !tr.Temporal && tr.Threads <= 1
+}
+
+// execute runs a built program once per distinct execution. The run never
+// reads the cost model, so cells that differ only in it — the same
+// treatment on the SPARCstation 2 and 10 — share one execution and each
+// prices it with its own machine. The execution is keyed on the program's
+// stage key, never on the program pointer, plus everything else the run
+// reads: the code-shaping machine fields, the input and the execution
+// options. The outcome, error included, is cached as the value, so a run
+// that fails the same way for every sharer runs once.
+func execute(b *pipeline.Result, w workloads.Workload, tr Treatment, cfg machine.Config) (*execution, error) {
+	profile := profiled(tr)
+	k := pipeline.MachineFields(artifact.NewKey("bench-exec").Str(string(b.Key)), cfg).
+		Str(w.Input).
+		Bool(tr.Temporal).
+		Int(int64(tr.Threads)).
+		Uint(tr.SchedSeed).
+		Bool(profile).
+		Sum()
+	v, _, err := cells.GetOrCompute(context.Background(), k, func() (any, int64, error) {
+		res, err := interp.Run(b.Prog, interp.Options{
+			Config:      cfg,
+			Input:       w.Input,
+			Temporal:    tr.Temporal,
+			Threads:     tr.Threads,
+			SchedSeed:   tr.SchedSeed,
+			HeapProfile: profile,
+		})
+		if err != nil {
+			return &execution{err: err}, 128, nil
+		}
+		x := &execution{res: res, retained: retainedAtExit(res.Snapshot)}
+		res.Snapshot = nil
+		return x, int64(len(res.Output)+8*machine.NumOps) + 256, nil
 	})
 	if err != nil {
-		if _, ok := findCheckError(err); ok {
-			m.CheckFailed = true
-			return m, nil
-		}
-		return nil, fmt.Errorf("%s [%s]: %w", w.Name, tr.Name, err)
+		return nil, err
 	}
-	m.Cycles = res.Cycles
-	m.Instrs = res.Instrs
-	m.Output = res.Output
-	m.Collections = res.GCStats.Collections
-	if w.Want != "" && res.Output != w.Want {
-		return nil, fmt.Errorf("%s [%s]: wrong output", w.Name, tr.Name)
-	}
-	return m, nil
+	return v.(*execution), nil
 }
 
 // MeasureRetained returns the total retained size of the live heap at the
 // workload's exit — the sum over the dominator tree's root-dominated
 // objects of an end-of-run heapdump snapshot — measured on the optimized
 // baseline build (treatments change code, not the workload's data
-// structures). It is a separate run from the timed cells: the
-// allocation-site profiler costs a map insert per simulated allocation,
-// and folding that into every measured cell would tax the whole table
-// sweep for one column. The machine config prices cycles but does not
-// change allocation semantics, so the exit heap is machine-invariant;
-// it is measured once per workload, on the canonical SPARCstation 10.
+// structures). The baseline's execution always runs with the
+// allocation-site profiler and keeps this count, so reading it costs no
+// run of its own once the workload's -O cell is measured. The exit heap
+// does not depend on the cost model; it is read on the canonical
+// SPARCstation 10, whose execution the SPARCstation 2 shares.
 func MeasureRetained(w workloads.Workload) (uint64, error) {
-	k := artifact.NewKey("bench-retained").
-		Str(pipeline.VersionFingerprint()).
-		Str(w.Name).
-		Str(w.Source).
-		Str(w.Input).
-		Sum()
-	v, _, err := cells.GetOrCompute(context.Background(), k, func() (any, int64, error) {
-		cfg := machine.SPARCstation10()
-		b, err := pipe.Build(context.Background(), w.Name+".c", w.Source, pipeline.Options{
-			Optimize: true,
-			Machine:  cfg,
-		})
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s: %w", w.Name, err)
-		}
-		res, err := interp.Run(b.Prog, interp.Options{
-			Config:      cfg,
-			Input:       w.Input,
-			HeapProfile: true,
-		})
-		if err != nil {
-			return nil, 0, fmt.Errorf("%s [retained]: %w", w.Name, err)
-		}
-		return retainedAtExit(res.Snapshot), 8, nil
-	})
+	_, x, err := buildAndExecute(w, Opt, machine.SPARCstation10())
 	if err != nil {
 		return 0, err
 	}
-	return v.(uint64), nil
+	if x.err != nil {
+		return 0, fmt.Errorf("%s [retained]: %w", w.Name, x.err)
+	}
+	return x.retained, nil
 }
 
 // retainedAtExit sums the retained sizes of the root-dominated objects of
@@ -416,15 +455,12 @@ func SlowdownTable(cfg machine.Config) (*Table, error) {
 	if err := prefetch(cfg, slowdownTreatments); err != nil {
 		return nil, err
 	}
-	// One catalogue generation for both passes: workloads.All builds its
-	// sources and inputs fresh on every call.
-	ws := workloads.All()
-	retained, err := measureRetainedAll(ws)
-	if err != nil {
-		return nil, err
-	}
-	for wi, w := range ws {
+	for _, w := range workloads.All() {
 		base, err := Measure(w, Opt, cfg)
+		if err != nil {
+			return nil, err
+		}
+		retained, err := MeasureRetained(w)
 		if err != nil {
 			return nil, err
 		}
@@ -435,7 +471,7 @@ func SlowdownTable(cfg machine.Config) (*Table, error) {
 		}
 		row.Cells = append(row.Cells, Cell{Pct: pct(safe.Cycles, base.Cycles)})
 		if w.DebugUnavailable {
-			row.Cells = append(row.Cells, Cell{Unavail: true}, Cell{Unavail: true}, retainedCell(retained[wi]))
+			row.Cells = append(row.Cells, Cell{Unavail: true}, Cell{Unavail: true}, retainedCell(retained))
 			t.Rows = append(t.Rows, row)
 			continue
 		}
@@ -453,7 +489,7 @@ func SlowdownTable(cfg machine.Config) (*Table, error) {
 		} else {
 			row.Cells = append(row.Cells, Cell{Pct: pct(chk.Cycles, base.Cycles)})
 		}
-		row.Cells = append(row.Cells, retainedCell(retained[wi]))
+		row.Cells = append(row.Cells, retainedCell(retained))
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil
@@ -608,8 +644,8 @@ func HazardTable(cfg machine.Config) (*Table, error) {
 		Title:   "Temporal/concurrent hazard workloads (" + cfg.Name + "):",
 		Columns: []string{"-O, safe", "-O, temporal", "-O, safe, mt4", "retained@exit"},
 	}
-	// One catalogue generation for all three passes: workloads.Hazards
-	// builds its sources and inputs fresh on every call.
+	// One catalogue generation for both passes: workloads.Hazards builds
+	// its sources and inputs fresh on every call.
 	hs := workloads.Hazards()
 	var reqs []CellRequest
 	for _, w := range hs {
@@ -620,12 +656,12 @@ func HazardTable(cfg machine.Config) (*Table, error) {
 	if _, err := MeasureAll(reqs); err != nil {
 		return nil, err
 	}
-	retained, err := measureRetainedAll(hs)
-	if err != nil {
-		return nil, err
-	}
-	for wi, w := range hs {
+	for _, w := range hs {
 		base, err := Measure(w, Opt, cfg)
+		if err != nil {
+			return nil, err
+		}
+		retained, err := MeasureRetained(w)
 		if err != nil {
 			return nil, err
 		}
@@ -641,7 +677,7 @@ func HazardTable(cfg machine.Config) (*Table, error) {
 			}
 			row.Cells = append(row.Cells, Cell{Pct: pct(m.Cycles, base.Cycles)})
 		}
-		row.Cells = append(row.Cells, retainedCell(retained[wi]))
+		row.Cells = append(row.Cells, retainedCell(retained))
 		t.Rows = append(t.Rows, row)
 	}
 	return t, nil

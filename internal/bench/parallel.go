@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"sort"
 	"sync/atomic"
 
 	"gcsafety/internal/machine"
@@ -63,6 +64,8 @@ func MeasureAll(reqs []CellRequest) ([]*Measurement, error) {
 // run their original sequential assembly against the warm cache: the
 // rendered output is byte-identical to a sequential build by construction,
 // because assembly order never changes — only cache-fill order does.
+// Checked cells start first: they cost two to five times the others, and
+// the fan-out ends at a barrier, so one started last would run alone.
 func prefetch(cfg machine.Config, forWorkload func(w workloads.Workload) []Treatment) error {
 	var reqs []CellRequest
 	for _, w := range workloads.All() {
@@ -70,26 +73,9 @@ func prefetch(cfg machine.Config, forWorkload func(w workloads.Workload) []Treat
 			reqs = append(reqs, CellRequest{Workload: w, Treatment: tr, Machine: cfg})
 		}
 	}
+	sort.SliceStable(reqs, func(i, j int) bool {
+		return reqs[i].Treatment.Checked && !reqs[j].Treatment.Checked
+	})
 	_, err := MeasureAll(reqs)
 	return err
-}
-
-// measureRetainedAll measures every workload's retained-at-exit value
-// (MeasureRetained) in parallel, so the profiled runs behind the
-// retained@exit column come off the table's sequential assembly path the
-// same way prefetch takes the cells off it. Results are positional:
-// out[i] answers ws[i] — tables index into it instead of re-asking, since
-// even a cache hit pays the content-addressed key's source hash.
-func measureRetainedAll(ws []workloads.Workload) ([]uint64, error) {
-	out := make([]uint64, len(ws))
-	errs := make([]error, len(ws))
-	par.ForEach(Parallelism(), len(ws), func(i int) {
-		out[i], errs[i] = MeasureRetained(ws[i])
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

@@ -37,17 +37,18 @@ type Machine struct {
 	labels map[string]map[int32]int
 	byID   map[int32]*machine.Func
 	meta   map[*machine.Func]*FuncMeta
-	// Costs caches Config.CostOf per opcode: one slice index in the hot
-	// loop instead of a switch.
-	Costs [machine.NumOps]uint64
-	out   strings.Builder
-	in    int
-	// Cycles and Instrs are the simulated accounting — the reproduction's
-	// data. They are charged before the temporal track, both before the
-	// opcode executes.
-	Cycles uint64
-	Instrs uint64
-	rng    uint32
+	out    strings.Builder
+	in     int
+	// Instrs and OpCounts are the simulated accounting — the reproduction's
+	// data: the executed instructions, in total and per opcode. They are
+	// charged before the temporal track, both before the opcode executes.
+	// The cost model stays out of the loop; result() prices the counts.
+	Instrs   uint64
+	OpCounts [machine.NumOps]uint64
+	// RuntimeCycles accumulates the runtime routines' nominal costs
+	// (runtime.go), which do not depend on the machine.
+	RuntimeCycles uint64
+	rng           uint32
 	// Exited flips when the program calls exit(); the dispatch loop stops at
 	// the next boundary.
 	Exited bool
@@ -168,9 +169,6 @@ func New(prog *machine.Program, opts Options) *Machine {
 			}
 		}
 	}
-	for op := 0; op < machine.NumOps; op++ {
-		c.Costs[op] = c.cfg.CostOf(machine.Op(op))
-	}
 	return c
 }
 
@@ -242,13 +240,16 @@ func (c *Machine) Poll() error {
 }
 
 func (c *Machine) result() *Result {
-	return &Result{
-		Output:   c.out.String(),
-		ExitCode: c.exit,
-		Cycles:   c.Cycles,
-		Instrs:   c.Instrs,
-		GCStats:  c.heap.Stats(),
+	res := &Result{
+		Output:        c.out.String(),
+		ExitCode:      c.exit,
+		Instrs:        c.Instrs,
+		OpCounts:      c.OpCounts,
+		RuntimeCycles: c.RuntimeCycles,
+		GCStats:       c.heap.Stats(),
 	}
+	res.Cycles = res.Price(c.cfg)
+	return res
 }
 
 // A RootSegment is one contiguous piece of the machine's GC root set: a

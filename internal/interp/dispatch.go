@@ -15,18 +15,19 @@ import (
 // targets and direct-call targets) held in locals for the duration of a
 // frame activation; everything else falls back to Step.
 // Per-instruction bookkeeping is kept to the instruction budget check, a
-// poll countdown (replacing the old modulo), one table-indexed cycle
-// charge, and — only when the asynchronous regime is armed — the GC tick.
-// The cycle and instruction accounting, the poll schedule and the
-// collection schedule are bit-identical to the pre-fast-path interpreter:
-// those numbers are the reproduction's data.
+// poll countdown (replacing the old modulo), one per-opcode count, and —
+// only when the asynchronous regime is armed — the GC tick. Cycles are not
+// charged here: result() prices the counts after the run, so the loop
+// never reads the cost model. The instruction accounting, the poll
+// schedule and the collection schedule are bit-identical to the
+// pre-fast-path interpreter: those numbers are the reproduction's data.
 func (c *Machine) call(entry *machine.Func, retReg machine.Reg) error {
 	stack := make([]Frame, 1, 16)
 	stack[0] = Frame{Fn: entry, PC: 0, SavedSP: c.SP, RetReg: retReg}
 	var (
 		maxInstrs = c.Opts.MaxInstrs
 		gcEvery   = c.Opts.GCEveryInstrs
-		costs     = &c.Costs
+		counts    = &c.OpCounts
 		// tt is nil outside temporal mode; holding it in a local keeps the
 		// per-instruction shadow-tag branch off a field load.
 		tt = c.TT
@@ -75,7 +76,7 @@ func (c *Machine) call(entry *machine.Func, retReg machine.Reg) error {
 			}
 			pollCd--
 			c.Instrs++
-			c.Cycles += costs[in.Op]
+			counts[in.Op]++
 			// Asynchronous collection regime: a GC may fire between any two
 			// instructions.
 			if gcEvery > 0 {

@@ -92,14 +92,35 @@ type Options struct {
 type Result struct {
 	Output   string
 	ExitCode int32
-	Cycles   uint64
-	Instrs   uint64
-	GCStats  gc.Stats
+	// Cycles is the run priced on Options.Config: Price(Options.Config).
+	Cycles uint64
+	Instrs uint64
+	// OpCounts counts the executed instructions per opcode; they sum to
+	// Instrs.
+	OpCounts [machine.NumOps]uint64
+	// RuntimeCycles is the runtime routines' share of Cycles. Their
+	// nominal costs do not depend on the machine.
+	RuntimeCycles uint64
+	GCStats       gc.Stats
 	// Snapshot is the end-of-run heap snapshot (Options.HeapProfile only;
 	// nil otherwise). SnapshotErr records a failed capture — the run's own
 	// outcome is reported normally either way.
 	Snapshot    *heapdump.Snapshot
 	SnapshotErr string
+}
+
+// Price returns the run's simulated cycles on cfg: RuntimeCycles plus
+// every executed instruction at cfg's cost. Execution never reads the cost
+// model, so a result repriced for a config that differs from the run's
+// only in Costs is the Cycles a run on that config would report.
+func (r *Result) Price(cfg machine.Config) uint64 {
+	cycles := r.RuntimeCycles
+	for op, n := range r.OpCounts {
+		if n != 0 {
+			cycles += n * cfg.CostOf(machine.Op(op))
+		}
+	}
+	return cycles
 }
 
 // A FaultError reports a memory or checking fault with machine context.

@@ -54,14 +54,14 @@ func (c *Machine) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) 
 		}
 		return 0
 	}
-	c.Cycles += rtBase
+	c.RuntimeCycles += rtBase
 	if c.TT != nil {
 		// Runtime results are untagged unless a case below says otherwise.
 		c.TT.RetTag = 0
 	}
 	switch sym {
 	case "malloc", "GC_malloc":
-		c.Cycles += rtAlloc
+		c.RuntimeCycles += rtAlloc
 		p, err := c.alloc(a(0))
 		if err == nil && c.TT != nil {
 			c.noteAlloc(p)
@@ -71,7 +71,7 @@ func (c *Machine) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) 
 		}
 		return p, err
 	case "calloc":
-		c.Cycles += rtAlloc
+		c.RuntimeCycles += rtAlloc
 		p, err := c.alloc(a(0) * a(1))
 		if err == nil && c.TT != nil {
 			c.noteAlloc(p)
@@ -81,7 +81,7 @@ func (c *Machine) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) 
 		}
 		return p, err
 	case "realloc":
-		c.Cycles += rtAlloc
+		c.RuntimeCycles += rtAlloc
 		p, err := c.realloc(a(0), a(1))
 		if err == nil && c.TT != nil {
 			c.noteAlloc(p)
@@ -96,7 +96,7 @@ func (c *Machine) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) 
 		return 0, nil
 	case "GC_free":
 		// The temporal mode's real deallocator (see temporal.go).
-		c.Cycles += rtAlloc
+		c.RuntimeCycles += rtAlloc
 		return c.gcFree(a(0))
 	case "join_threads":
 		// Blocks (by scheduler retry) until every sibling thread finished;
@@ -109,14 +109,14 @@ func (c *Machine) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) 
 		c.heap.Collect()
 		return 0, nil
 	case "GC_base":
-		c.Cycles += rtCheck
+		c.RuntimeCycles += rtCheck
 		b := c.heap.Base(a(0))
 		if c.TT != nil {
 			c.TT.RetTag = c.heap.EpochOf(b)
 		}
 		return b, nil
 	case "GC_same_obj":
-		c.Cycles += rtCheck
+		c.RuntimeCycles += rtCheck
 		if c.TT != nil {
 			if err := c.temporalSameObj(a(0), a(1)); err != nil {
 				return 0, err
@@ -129,10 +129,10 @@ func (c *Machine) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) 
 		}
 		return p, nil
 	case "GC_pre_incr":
-		c.Cycles += rtCheck + 4
+		c.RuntimeCycles += rtCheck + 4
 		return c.gcIncr(a(0), int32(a(1)), false)
 	case "GC_post_incr":
-		c.Cycles += rtCheck + 4
+		c.RuntimeCycles += rtCheck + 4
 		return c.gcIncr(a(0), int32(a(1)), true)
 	case "KEEP_LIVE":
 		// The paper's portable fallback: "a call to an external function
@@ -147,7 +147,7 @@ func (c *Machine) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) 
 		if err != nil {
 			return 0, err
 		}
-		c.Cycles += uint64(len(s)) * rtPerByte
+		c.RuntimeCycles += uint64(len(s)) * rtPerByte
 		return uint32(len(s)), nil
 	case "strcpy":
 		if c.TT != nil {
@@ -164,7 +164,7 @@ func (c *Machine) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) 
 		if err != nil {
 			return 0, err
 		}
-		c.Cycles += uint64(len(s)) * rtPerByte
+		c.RuntimeCycles += uint64(len(s)) * rtPerByte
 		if _, err := c.strcpy(a(0)+uint32(len(s)), a(1), 1<<30, true); err != nil {
 			return 0, err
 		}
@@ -181,7 +181,7 @@ func (c *Machine) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) 
 		if err != nil {
 			return 0, err
 		}
-		c.Cycles += uint64(len(s)) * rtPerByte
+		c.RuntimeCycles += uint64(len(s)) * rtPerByte
 		for i := 0; i <= len(s); i++ {
 			var ch byte
 			if i < len(s) {
@@ -204,7 +204,7 @@ func (c *Machine) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) 
 		if c.TT != nil {
 			c.TT.RetTag = c.argTag(0)
 		}
-		c.Cycles += uint64(a(2)) * rtPerByte
+		c.RuntimeCycles += uint64(a(2)) * rtPerByte
 		for i := uint32(0); i < a(2); i++ {
 			if err := c.write8(a(0)+i, byte(a(1))); err != nil {
 				return 0, err
@@ -212,7 +212,7 @@ func (c *Machine) RuntimeCall(fnName string, in *machine.Instr) (uint32, error) 
 		}
 		return a(0), nil
 	case "memcmp":
-		c.Cycles += uint64(a(2)) * rtPerByte
+		c.RuntimeCycles += uint64(a(2)) * rtPerByte
 		for i := uint32(0); i < a(2); i++ {
 			x, err := c.read8(a(0) + i)
 			if err != nil {
@@ -346,7 +346,7 @@ func (c *Machine) strcpy(dst, src, max uint32, nulTerm bool) (uint32, error) {
 		if err := c.write8(dst+i, ch); err != nil {
 			return 0, err
 		}
-		c.Cycles += rtPerByte
+		c.RuntimeCycles += rtPerByte
 		if ch == 0 {
 			break
 		}
@@ -364,7 +364,7 @@ func (c *Machine) strcmp(p, q, max uint32) (uint32, error) {
 		if err != nil {
 			return 0, err
 		}
-		c.Cycles += rtPerByte
+		c.RuntimeCycles += rtPerByte
 		if x != y {
 			if x < y {
 				return uint32(0xFFFFFFFF), nil
@@ -379,7 +379,7 @@ func (c *Machine) strcmp(p, q, max uint32) (uint32, error) {
 }
 
 func (c *Machine) memmove(dst, src, n uint32) (uint32, error) {
-	c.Cycles += uint64(n) * rtPerByte
+	c.RuntimeCycles += uint64(n) * rtPerByte
 	if dst < src {
 		for i := uint32(0); i < n; i++ {
 			ch, err := c.read8(src + i)

@@ -156,7 +156,7 @@ func (c *Machine) threadsRemaining() bool {
 
 // execQuantum runs up to quantum instructions of thread t. It mirrors the
 // single-thread loop's per-instruction bookkeeping (instruction budget,
-// context poll, cycle accounting, asynchronous-GC tick) but dispatches
+// context poll, per-opcode count, asynchronous-GC tick) but dispatches
 // every opcode through the cold-path Step: concurrent treatments are new
 // measurement columns, not cycle-compatible reruns of the single-thread
 // numbers, so the dispatch loop's inline fast paths are not duplicated
@@ -194,7 +194,7 @@ func (c *Machine) execQuantum(t *mthread, quantum uint64) error {
 			}
 		}
 		c.Instrs++
-		c.Cycles += c.Costs[in.Op]
+		c.OpCounts[in.Op]++
 		if gcEvery > 0 {
 			c.SinceGC++
 			if c.SinceGC >= gcEvery {

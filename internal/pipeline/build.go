@@ -16,9 +16,9 @@ import (
 
 // Options configures one walk of the stage graph. Only the stages a
 // field feeds see it in their content keys: annotation options stop
-// influencing keys at the Annotate stage boundary, the machine enters at
-// Codegen, so builds differing only in late options share every earlier
-// artifact.
+// influencing keys at the Annotate stage boundary, the machine's
+// code-shaping fields enter at Codegen, so builds differing only in late
+// options share every earlier artifact.
 type Options struct {
 	// Annotate enables the GC-safety preprocessor stage.
 	Annotate bool
@@ -28,7 +28,8 @@ type Options struct {
 	Optimize bool
 	// Post enables the peephole postprocessor stage.
 	Post bool
-	// Machine is the target configuration.
+	// Machine is the target configuration. Only its code-shaping fields
+	// (MachineFields) reach the program; its name and costs do not.
 	Machine machine.Config
 	// DisableReassociation / DisableLoadFolding mirror the codegen
 	// ablation switches.
@@ -53,6 +54,9 @@ type Result struct {
 	File *ast.File
 	// Report describes the walk: per-stage cache hits and durations.
 	Report *BuildReport
+	// Key is the content key of the build's final stage (Optimize, or
+	// Peephole under Options.Post): equal keys mean equal programs.
+	Key artifact.Key
 }
 
 // annotated is the Annotate stage's artifact: the mutated deep clone of
@@ -92,17 +96,15 @@ func annotateFields(b *artifact.KeyBuilder, o gcsafe.Options) *artifact.KeyBuild
 	return b
 }
 
-// machineFields folds the full machine configuration — not just its name
-// — into a key, so ad-hoc configs with colliding names cannot share
-// artifacts.
-func machineFields(b *artifact.KeyBuilder, cfg machine.Config) *artifact.KeyBuilder {
-	return b.Str(cfg.Name).
-		Int(int64(cfg.NumRegs)).
+// MachineFields folds the code-shaping fields of a machine configuration
+// into a key: the register count and the two ISA switches, the only
+// fields codegen and the postprocessor read. The name and the cycle costs
+// stay out, so machines that differ only in cost model (the two
+// SPARCstations) share one program, and so can share its executions.
+func MachineFields(b *artifact.KeyBuilder, cfg machine.Config) *artifact.KeyBuilder {
+	return b.Int(int64(cfg.NumRegs)).
 		Bool(cfg.TwoOperand).
-		Bool(cfg.LoadIndexed).
-		Uint(cfg.Costs.ALU).Uint(cfg.Costs.Mul).Uint(cfg.Costs.Div).
-		Uint(cfg.Costs.Load).Uint(cfg.Costs.Store).Uint(cfg.Costs.Branch).
-		Uint(cfg.Costs.CallRet).Uint(cfg.Costs.SPAdjust)
+		Bool(cfg.LoadIndexed)
 }
 
 // frontEnd runs the treatment-independent prefix of the graph — Lex,
@@ -256,7 +258,7 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 		DisableReassociation: opts.DisableReassociation,
 		DisableLoadFolding:   opts.DisableLoadFolding,
 	}
-	kcg := machineFields(stageKey(StageCodegen, kfront).
+	kcg := MachineFields(stageKey(StageCodegen, kfront).
 		Bool(opts.Optimize).
 		Bool(opts.DisableReassociation).
 		Bool(opts.DisableLoadFolding), opts.Machine).Sum()
@@ -285,6 +287,7 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 		return nil, &StageError{Stage: StageOptimize, Err: err}
 	}
 	res.Prog = v.(*machine.Program)
+	res.Key = kopt
 
 	if opts.Post {
 		// The machine config feeding the postprocessor is already part of
@@ -301,6 +304,7 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 		}
 		p := v.(*postprocessed)
 		res.Prog = p.prog
+		res.Key = kpeep
 		st := p.stats
 		res.Peephole = &st
 	}

@@ -138,6 +138,58 @@ func TestFrontEndSharedAcrossTreatments(t *testing.T) {
 	}
 }
 
+// TestCodegenKeyedOnCodeShapingFields pins what the machine contributes
+// to the Codegen key: the SPARCstation 2 and 10, which differ only in
+// cycle costs, miss Codegen, Optimize and Peephole once between them and
+// share one program and final key; the Pentium 90 misses on its own; and
+// a config that differs from the SPARCstation 10 in any one code-shaping
+// field does not share.
+func TestCodegenKeyedOnCodeShapingFields(t *testing.T) {
+	r := NewRunner(artifact.New(0))
+	w := workloads.All()[0]
+	build := func(cfg machine.Config) *Result {
+		t.Helper()
+		res, err := r.Build(context.Background(), w.Name+".c", w.Source, Options{Optimize: true, Post: true, Machine: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	misses := func(want uint64) {
+		t.Helper()
+		for _, st := range []Stage{StageCodegen, StageOptimize, StagePeephole} {
+			if got := r.StageStats(st).Misses; got != want {
+				t.Errorf("%s: %d misses, want %d", st, got, want)
+			}
+		}
+	}
+	ss2 := build(machine.SPARCstation2())
+	ss10 := build(machine.SPARCstation10())
+	misses(1)
+	if ss2.Key != ss10.Key || ss2.Prog != ss10.Prog {
+		t.Error("the SPARCstation 2 and 10 builds do not share one program")
+	}
+	if p90 := build(machine.Pentium90()); p90.Key == ss10.Key {
+		t.Error("the Pentium 90 build shares the SPARCstation key")
+	}
+	misses(2)
+	for i, v := range []struct {
+		field string
+		set   func(*machine.Config)
+	}{
+		{"NumRegs", func(c *machine.Config) { c.NumRegs-- }},
+		{"TwoOperand", func(c *machine.Config) { c.TwoOperand = !c.TwoOperand }},
+		{"LoadIndexed", func(c *machine.Config) { c.LoadIndexed = !c.LoadIndexed }},
+	} {
+		cfg := machine.SPARCstation10()
+		v.set(&cfg)
+		if res := build(cfg); res.Key == ss10.Key {
+			t.Errorf("a config differing only in %s shares the SPARCstation 10 key", v.field)
+		}
+		misses(uint64(3 + i))
+	}
+}
+
 // TestWarmBuildAllHits is the pipeline-smoke invariant: the second build
 // of the same cell reports a cache hit at every stage.
 func TestWarmBuildAllHits(t *testing.T) {
