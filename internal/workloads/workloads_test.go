@@ -11,6 +11,7 @@ import (
 
 	"gcsafety/internal/cc/parser"
 	"gcsafety/internal/codegen"
+	"gcsafety/internal/faultinject"
 	"gcsafety/internal/gcsafe"
 	"gcsafety/internal/interp"
 	"gcsafety/internal/machine"
@@ -45,6 +46,16 @@ func init() {
 
 func runWorkload(t *testing.T, w Workload, bm buildMode) (*interp.Result, error) {
 	t.Helper()
+	return interp.Run(buildWorkload(t, w, bm), interp.Options{
+		Config:              machine.SPARCstation10(),
+		Input:               w.Input,
+		Validate:            true,
+		CollectAtEveryAlloc: bm.adversarial,
+	})
+}
+
+func buildWorkload(t *testing.T, w Workload, bm buildMode) *machine.Program {
+	t.Helper()
 	file, err := parser.Parse(w.Name+".c", w.Source)
 	if err != nil {
 		t.Fatalf("%s: parse: %v", w.Name, err)
@@ -62,12 +73,7 @@ func runWorkload(t *testing.T, w Workload, bm buildMode) (*interp.Result, error)
 	if bm.postprocess {
 		peephole.Optimize(prog, cfg)
 	}
-	return interp.Run(prog, interp.Options{
-		Config:              cfg,
-		Input:               w.Input,
-		Validate:            true,
-		CollectAtEveryAlloc: bm.adversarial,
-	})
+	return prog
 }
 
 // simRecord is one run's simulated numbers as a sim.golden line: the
@@ -132,6 +138,7 @@ func (g *simGoldens) write(t *testing.T) {
 func TestWorkloadsAllModes(t *testing.T) {
 	golden := loadSimGoldens(t)
 	defer golden.write(t)
+	defer pinConcurrentRuns(t, golden)
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -294,6 +301,78 @@ func TestWorkloadsSafeUnderAsyncGC(t *testing.T) {
 			}
 			if res.GCStats.Collections < 10 {
 				t.Fatalf("only %d collections; regime not exercised", res.GCStats.Collections)
+			}
+		})
+	}
+}
+
+// pinConcurrentRuns records the hazard workloads' concurrent runs in
+// sim.golden: each build at Threads 2 and 4 under three schedule seeds,
+// with and without CollectAtSwitch, plus the edge cases of the quantum
+// scheduler — an instruction budget that runs out mid-quantum, the
+// interp.step fault point firing on the poll schedule inside a quantum,
+// and a one-thread run, which must ignore CollectAtSwitch. The records
+// pin the interleaving, so any change to the scheduler or the instruction
+// loop that perturbs it shows up here.
+func pinConcurrentRuns(t *testing.T, golden *simGoldens) {
+	builds := []buildMode{
+		{name: "-O", optimize: true},
+		{name: "-O safe", annotate: true, optimize: true},
+		{name: "-O temporal", annotate: true, mode: gcsafe.ModeTemporal, optimize: true},
+	}
+	for _, w := range Hazards() {
+		w := w
+		t.Run("concurrent/"+w.Name, func(t *testing.T) {
+			for _, bm := range builds {
+				prog := buildWorkload(t, w, bm)
+				base := interp.Options{
+					Config:        machine.SPARCstation10(),
+					Input:         w.Input,
+					Validate:      true,
+					Temporal:      bm.mode == gcsafe.ModeTemporal,
+					GCEveryInstrs: 211,
+					TriggerBytes:  8 << 10,
+				}
+				record := func(label string, opts interp.Options) string {
+					res, err := interp.Run(prog, opts)
+					line := simRecord(w, buildMode{name: bm.name + " " + label}, res, err)
+					golden.check(t, line)
+					return line
+				}
+				for _, threads := range []int{2, 4} {
+					for _, seed := range []uint64{0, 1, 7} {
+						for _, atSwitch := range []bool{false, true} {
+							opts := base
+							opts.Threads, opts.SchedSeed, opts.CollectAtSwitch = threads, seed, atSwitch
+							label := fmt.Sprintf("mt%d seed%d", threads, seed)
+							if atSwitch {
+								label += " +switch"
+							}
+							record(label, opts)
+						}
+					}
+				}
+				if w.Name != "escape" {
+					continue
+				}
+				opts := base
+				opts.Threads, opts.SchedSeed, opts.MaxInstrs = 4, 1, 20_000
+				record("mt4 seed1 max20000", opts)
+				faults, err := faultinject.Parse("interp.step=error,after=3", 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts = base
+				opts.Threads, opts.SchedSeed, opts.Faults = 4, 1, faults
+				record("mt4 seed1 interp.step=error,after=3", opts)
+				opts = base
+				single := record("mt0", opts)
+				opts.Threads, opts.CollectAtSwitch = 1, true
+				lone := record("mt1 +switch", opts)
+				_, want, _ := strings.Cut(single, ": ")
+				if _, got, _ := strings.Cut(lone, ": "); got != want {
+					t.Errorf("a one-thread run with CollectAtSwitch differs from the single-thread run:\n  %s\n  %s", lone, single)
+				}
 			}
 		})
 	}
