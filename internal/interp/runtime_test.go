@@ -100,6 +100,16 @@ func TestInstructionBudgetFault(t *testing.T) {
 	}
 }
 
+func TestTooManyThreadsForTheStack(t *testing.T) {
+	prog := mustCompile(t, mustParseSrc(t, `int main() { return 0; }`), true)
+	for _, n := range []int{1 << 9, 1 << 32} {
+		_, err := Run(prog, Options{Config: cfgSS10(), Threads: n})
+		if err == nil || !strings.Contains(err.Error(), "bytes of stack each") {
+			t.Errorf("Threads %d: err = %v, want the stack-segment error", n, err)
+		}
+	}
+}
+
 func TestWildPointerFaults(t *testing.T) {
 	src := `int main() { int *p = (int *)0x7778; return *p; }`
 	file := mustParseSrc(t, src)

@@ -47,8 +47,9 @@ func threadEntryName(i int) string { return fmt.Sprintf("thread%d", i) }
 // runThreads executes entry as thread 0 alongside up to Threads-1 workers.
 func (c *Machine) runThreads(entry *machine.Func) error {
 	n := c.Opts.Threads
-	total := uint32(machine.StackTop - machine.StackLimit)
-	seg := (total / uint32(n)) &^ 255
+	// Divide in 64 bits: a thread count past 2^32 must not truncate to a
+	// zero divisor.
+	seg := uint32((uint64(machine.StackTop-machine.StackLimit) / uint64(n)) &^ 255)
 	if seg < 4096 {
 		return fmt.Errorf("interp: %d threads leave only %d bytes of stack each", n, seg)
 	}
