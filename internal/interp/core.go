@@ -14,7 +14,7 @@ import (
 
 // Machine is one run's machine state: the simulated register file, stack
 // and static segment, the collected heap, cycle/instruction accounting, the
-// temporal shadow tags, the concurrent-mutator scheduler and the snapshot
+// temporal shadow tags, the threads and their scheduler, and the snapshot
 // handshake. The dispatch loop (dispatch.go) executes instructions against
 // it; everything an instruction can touch lives here.
 type Machine struct {
@@ -27,14 +27,13 @@ type Machine struct {
 	// heap is the conservative collector; Heap() exposes it.
 	heap *gc.Heap
 	// Regs is the current thread's register file (re-aimed on context
-	// switch in concurrent mode; slices are aliased, never copied, so the
-	// collector always sees every thread's live registers).
+	// switch; slices are aliased, never copied, so the collector always
+	// sees every thread's live registers).
 	Regs []uint32
 	// SP is the current stack pointer.
 	SP     uint32
 	static []byte
 	stack  []byte
-	labels map[string]map[int32]int
 	byID   map[int32]*machine.Func
 	meta   map[*machine.Func]*FuncMeta
 	out    strings.Builder
@@ -53,9 +52,6 @@ type Machine struct {
 	// the next boundary.
 	Exited bool
 	exit   int32
-	// PendingRet carries the value of the most recent Ret to the caller's
-	// result register.
-	PendingRet uint32
 	// SinceGC counts instructions since the last async collection.
 	SinceGC uint64
 	// argbuf backs RuntimeCall's argument slice so runtime dispatch —
@@ -68,7 +64,8 @@ type Machine struct {
 	// StackLo/StackHi bound the current thread's stack segment for AdjSP;
 	// they are the whole stack in single-thread mode.
 	StackLo, StackHi uint32
-	// Concurrent-mutator state (nil/zero in single-thread mode).
+	// The simulated threads (one in single-thread mode), the index of the
+	// current one and the schedule's xorshift64 state.
 	threads  []*mthread
 	cur      int
 	schedRng uint64
@@ -105,19 +102,13 @@ func New(prog *machine.Program, opts Options) *Machine {
 		Opts:   opts,
 		Ctx:    context.Background(),
 		cfg:    opts.Config,
-		Regs:   make([]uint32, opts.Config.NumRegs),
-		SP:     machine.StackTop,
 		static: append([]byte(nil), prog.Data...),
 		stack:  make([]byte, machine.StackTop-machine.StackLimit),
-		labels: map[string]map[int32]int{},
 		byID:   map[int32]*machine.Func{},
 		rng:    0x9E3779B9,
-
-		StackLo: machine.StackLimit,
-		StackHi: machine.StackTop,
 	}
 	if opts.Temporal {
-		c.TT = newTemporalState(int(opts.Config.NumRegs))
+		c.TT = newTemporalState()
 	}
 	if opts.HeapProfile {
 		c.prof = newAllocProf()
@@ -134,6 +125,7 @@ func New(prog *machine.Program, opts Options) *Machine {
 	c.heap = gc.NewHeap(hcfg)
 	c.heap.SetRoots(c)
 	c.meta = make(map[*machine.Func]*FuncMeta, len(prog.Funcs))
+	labels := make(map[string]map[int32]int, len(prog.Funcs))
 	for name, f := range prog.Funcs {
 		lm := map[int32]int{}
 		for pc, in := range f.Code {
@@ -141,7 +133,7 @@ func New(prog *machine.Program, opts Options) *Machine {
 				lm[in.Imm] = pc
 			}
 		}
-		c.labels[name] = lm
+		labels[name] = lm
 		c.byID[f.ID] = f
 	}
 	// Second pass: resolve branch targets and direct-call targets now that
@@ -156,7 +148,7 @@ func New(prog *machine.Program, opts Options) *Machine {
 	}
 	for _, f := range prog.Funcs {
 		fm := c.meta[f]
-		lm := c.labels[f.Name]
+		lm := labels[f.Name]
 		for pc, in := range f.Code {
 			switch in.Op {
 			case machine.Jmp, machine.Bz, machine.Bnz:
@@ -178,9 +170,8 @@ func (c *Machine) Run() (*Result, error) {
 }
 
 // RunContext executes the entry function to completion or until ctx is
-// done, whichever comes first. Concurrent runs (Threads > 1) go through
-// the quantum scheduler (threads.go), single-thread runs through the
-// dispatch loop (dispatch.go).
+// done, whichever comes first. Every run goes through runThreads
+// (threads.go): a single-thread run is thread 0 with an unbounded quantum.
 func (c *Machine) RunContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -194,12 +185,7 @@ func (c *Machine) RunContext(ctx context.Context) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return c.result(), fmt.Errorf("interp: %w", err)
 	}
-	var runErr error
-	if c.Opts.Threads > 1 {
-		runErr = c.runThreads(entry)
-	} else {
-		runErr = c.call(entry, machine.NoReg)
-	}
+	runErr := c.runThreads(entry)
 	res := c.result()
 	if c.Opts.HeapProfile {
 		trigger, addr := snapshotTrigger(runErr)
@@ -216,10 +202,10 @@ func (c *Machine) RunContext(ctx context.Context) (*Result, error) {
 	return res, runErr
 }
 
-// Poll is the safe-point body shared by the dispatch loop and the
-// concurrent scheduler: context cancellation, the interp.step fault point,
-// and the cross-goroutine snapshot handshake, in that order. Both call it
-// when the poll countdown reaches zero (every PollInterval instructions).
+// Poll is the dispatch loop's safe-point body: context cancellation, the
+// interp.step fault point, and the cross-goroutine snapshot handshake, in
+// that order. The loop calls it when the poll countdown reaches zero
+// (every PollInterval instructions).
 func (c *Machine) Poll() error {
 	if err := c.Ctx.Err(); err != nil {
 		return err
@@ -270,26 +256,21 @@ type RootSegment struct {
 
 // WalkRoots calls fn for every root segment: each live thread's registers
 // and stack from its (word-aligned) stack pointer up, then the static
-// segment. In concurrent mode every live thread's registers and stack are
-// roots: a collection one thread triggers must see the pointers every
-// other thread still holds. The collector (ScanRoots) and heap snapshots
-// (emitRoots) both walk the roots through here, so they see the same set.
+// segment. Every live thread's registers and stack are roots: a collection
+// one thread triggers must see the pointers every other thread still
+// holds. The collector (ScanRoots) and heap snapshots (emitRoots) both
+// walk the roots through here, so they see the same set.
 func (c *Machine) WalkRoots(fn func(RootSegment)) {
-	if c.threads != nil {
-		for i, t := range c.threads {
-			if t.done {
-				continue
-			}
-			sp := t.sp
-			if i == c.cur {
-				sp = c.SP // regs alias t.regs; only sp is cached in c
-			}
-			fn(RootSegment{Kind: heapdump.RootReg, Thread: i, Regs: t.regs})
-			fn(c.stackSegment(i, sp, t.hi))
+	for i, t := range c.threads {
+		if t.done {
+			continue
 		}
-	} else {
-		fn(RootSegment{Kind: heapdump.RootReg, Regs: c.Regs})
-		fn(c.stackSegment(0, c.SP, machine.StackTop))
+		sp := t.sp
+		if i == c.cur {
+			sp = c.SP // regs alias t.regs; only sp is cached in c
+		}
+		fn(RootSegment{Kind: heapdump.RootReg, Thread: i, Regs: t.regs})
+		fn(c.stackSegment(i, sp, t.hi))
 	}
 	fn(RootSegment{Kind: heapdump.RootStatic, Base: machine.DataBase, Mem: c.static[:len(c.static)&^3]})
 }

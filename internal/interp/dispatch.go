@@ -6,24 +6,27 @@ import (
 	"gcsafety/internal/machine"
 )
 
-// call runs fn to completion (including nested calls) using an explicit
-// frame stack, so a collection can fire between any two instructions.
+// run executes thread t on its own frame stack for at most quantum
+// instructions, so a collection can fire between any two instructions. It
+// returns nil when the quantum runs out, when join_threads must wait for
+// sibling threads, when t's frames are empty or when the program exits;
+// t's frames then say where the thread resumes. It is the interpreter's
+// only instruction loop: a single-thread run is one call with an unbounded
+// quantum, and the concurrent scheduler (threads.go) calls it once per
+// quantum.
 //
 // The loop is the interpreter's hottest code: the common opcodes (ALU,
-// loads/stores, branches, call/ret) are dispatched inline here, with the
-// program counter, code slice and per-function metadata (resolved branch
-// targets and direct-call targets) held in locals for the duration of a
-// frame activation; everything else falls back to Step.
-// Per-instruction bookkeeping is kept to the instruction budget check, a
-// poll countdown (replacing the old modulo), one per-opcode count, and —
+// loads/stores, branches, calls and returns) are dispatched inline here,
+// with the program counter, code slice and per-function metadata (resolved
+// branch targets and direct-call targets) held in locals for the duration
+// of a frame activation; the rest fall back to step. Per-instruction
+// bookkeeping is kept to one budget compare (the quantum is folded into
+// the instruction limit), a poll countdown, one per-opcode count, and —
 // only when the asynchronous regime is armed — the GC tick. Cycles are not
 // charged here: result() prices the counts after the run, so the loop
 // never reads the cost model. The instruction accounting, the poll
-// schedule and the collection schedule are bit-identical to the
-// pre-fast-path interpreter: those numbers are the reproduction's data.
-func (c *Machine) call(entry *machine.Func, retReg machine.Reg) error {
-	stack := make([]Frame, 1, 16)
-	stack[0] = Frame{Fn: entry, PC: 0, SavedSP: c.SP, RetReg: retReg}
+// schedule and the collection schedule are the reproduction's data.
+func (c *Machine) run(t *mthread, quantum uint64) error {
 	var (
 		maxInstrs = c.Opts.MaxInstrs
 		gcEvery   = c.Opts.GCEveryInstrs
@@ -33,37 +36,49 @@ func (c *Machine) call(entry *machine.Func, retReg machine.Reg) error {
 		tt = c.TT
 		// pollCd counts down to the next context poll so the hot loop pays
 		// one decrement instead of a modulo. It reproduces the schedule
-		// "poll when instrs%PollInterval == 0" exactly.
+		// "poll when Instrs is a multiple of PollInterval" exactly.
 		pollCd = c.Instrs % PollInterval
+		// stop is the one bound the loop compares against: the end of the
+		// quantum or the instruction budget, whichever comes first. Past
+		// it, yield says which; when both end together the thread yields,
+		// and the budget fault waits for the next quantum.
+		stop  = maxInstrs
+		yield = quantum <= maxInstrs-c.Instrs
 	)
+	if yield {
+		stop = c.Instrs + quantum
+	}
 	if pollCd != 0 {
 		pollCd = PollInterval - pollCd
 	}
-	for len(stack) > 0 && !c.Exited {
-		fr := &stack[len(stack)-1]
+	for len(t.frames) > 0 && !c.Exited {
+		fr := &t.frames[len(t.frames)-1]
 		fn := fr.Fn
 		code := fn.Code
 		meta := fr.Meta
-		if meta == nil {
-			meta = c.MetaOf(fn)
-			fr.Meta = meta
-		}
 		pc := fr.PC
 	frame:
 		for {
 			if pc >= len(code) {
+				if yield && c.Instrs >= stop {
+					fr.PC = pc
+					return nil
+				}
 				// fall off the end: return 0
 				c.SP = fr.SavedSP
 				c.SetReg(fr.RetReg, 0)
 				if tt != nil {
 					tt.SetTag(fr.RetReg, 0)
 				}
-				stack = stack[:len(stack)-1]
+				t.frames = t.frames[:len(t.frames)-1]
 				break frame
 			}
 			in := &code[pc]
-			if c.Instrs >= maxInstrs {
+			if c.Instrs >= stop {
 				fr.PC = pc
+				if yield {
+					return nil
+				}
 				return &FaultError{Fn: fn.Name, PC: pc,
 					Err: fmt.Errorf("%w (%d)", ErrInstrLimit, maxInstrs)}
 			}
@@ -83,7 +98,7 @@ func (c *Machine) call(entry *machine.Func, retReg machine.Reg) error {
 				c.SinceGC++
 				if c.SinceGC >= gcEvery {
 					c.SinceGC = 0
-					c.Heap().Collect()
+					c.heap.Collect()
 				}
 			}
 			if tt != nil {
@@ -170,27 +185,30 @@ func (c *Machine) call(entry *machine.Func, retReg machine.Reg) error {
 				}
 				c.SP = ns
 			case machine.Ret:
+				var v uint32
 				if in.Rs1 != machine.NoReg {
-					c.PendingRet = c.Reg(in.Rs1)
-				} else {
-					c.PendingRet = 0
+					v = c.Reg(in.Rs1)
 				}
 				c.SP = fr.SavedSP
-				c.SetReg(fr.RetReg, c.PendingRet)
+				c.SetReg(fr.RetReg, v)
 				if tt != nil {
 					tt.SetTag(fr.RetReg, tt.RetTag)
 				}
-				stack = stack[:len(stack)-1]
+				t.frames = t.frames[:len(t.frames)-1]
 				break frame
 			case machine.Call:
 				if callee := meta.Callees[pc-1]; callee != nil {
 					fr.PC = pc
-					stack = append(stack, Frame{Fn: callee, PC: 0, SavedSP: c.SP,
+					t.frames = append(t.frames, Frame{Fn: callee, SavedSP: c.SP,
 						RetReg: in.Rd, Meta: meta.CalleeMeta[pc-1]})
 					break frame
 				}
 				v, err := c.RuntimeCall(fn.Name, in)
 				if err != nil {
+					if err == errJoinWait {
+						fr.PC = pc - 1 // retry the join on the thread's next quantum
+						return nil
+					}
 					fr.PC = pc
 					return &FaultError{Fn: fn.Name, PC: pc - 1, Err: err}
 				}
@@ -200,31 +218,25 @@ func (c *Machine) call(entry *machine.Func, retReg machine.Reg) error {
 				}
 				if c.Exited {
 					fr.PC = pc
-					break frame
+					return nil
 				}
-			default:
+			case machine.CallR:
+				id := int32(c.Reg(in.Rs1))
+				callee, ok := c.byID[id]
+				if !ok {
+					fr.PC = pc
+					return &FaultError{Fn: fn.Name, PC: pc - 1,
+						Err: fmt.Errorf("indirect call to invalid function id %d", id)}
+				}
 				fr.PC = pc
-				ret, push, err := c.Step(fr, in)
-				if err != nil {
+				t.frames = append(t.frames, Frame{Fn: callee, SavedSP: c.SP,
+					RetReg: in.Rd, Meta: c.meta[callee]})
+				break frame
+			default:
+				if err := c.step(in); err != nil {
+					fr.PC = pc
 					return &FaultError{Fn: fn.Name, PC: pc - 1, Err: err}
 				}
-				if push != nil {
-					stack = append(stack, *push)
-					break frame
-				}
-				if ret {
-					c.SP = fr.SavedSP
-					c.SetReg(fr.RetReg, c.PendingRet)
-					if tt != nil {
-						tt.SetTag(fr.RetReg, tt.RetTag)
-					}
-					stack = stack[:len(stack)-1]
-					break frame
-				}
-				if c.Exited {
-					break frame
-				}
-				pc = fr.PC // step may have redirected control flow
 			}
 		}
 	}

@@ -2,21 +2,18 @@ package interp
 
 import "gcsafety/internal/machine"
 
-// Frame is one activation record on a simulated call stack: the dispatch
-// loop and the concurrent scheduler keep a []Frame, and the cold-path Step
-// pushes Frames for calls.
+// Frame is one activation record on a simulated thread's call stack.
 type Frame struct {
 	Fn      *machine.Func
 	PC      int
 	SavedSP uint32
 	RetReg  machine.Reg
-	// Meta caches MetaOf(Fn); frames pushed by the cold path leave it nil
-	// and the dispatch loop fills it in on first activation.
+	// Meta is Fn's precomputed metadata; every push sets it.
 	Meta *FuncMeta
 }
 
-// FuncMeta is per-function metadata precomputed by New so
-// hot dispatch loops never consult a map per instruction: Targets holds
+// FuncMeta is per-function metadata precomputed by New so the dispatch
+// loop never consults a map per instruction: Targets holds
 // the resolved destination pc for every Jmp/Bz/Bnz (aligned with Code),
 // Callees the resolved *Func for every direct Call into program code (nil
 // for runtime builtins, which dispatch by name), and CalleeMeta the
@@ -26,7 +23,3 @@ type FuncMeta struct {
 	Callees    []*machine.Func
 	CalleeMeta []*FuncMeta
 }
-
-// MetaOf returns the precomputed metadata for a program function (nil for
-// functions outside the program the machine was built for).
-func (c *Machine) MetaOf(fn *machine.Func) *FuncMeta { return c.meta[fn] }

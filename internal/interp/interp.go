@@ -15,10 +15,10 @@
 //     reclaimed heap objects — the harness's premature-collection detector
 //     (never part of the cost model).
 //
-// The machine state lives in core.go, the switch-dispatch loop in
+// The machine state lives in core.go, the one instruction loop in
 // dispatch.go, the cold-path opcodes in step.go, the runtime library in
-// runtime.go, the temporal checker in temporal.go and the concurrent
-// scheduler in threads.go.
+// runtime.go, the temporal checker in temporal.go and the thread
+// scheduler, which drives the loop for every run, in threads.go.
 package interp
 
 import (

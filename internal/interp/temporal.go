@@ -32,8 +32,8 @@ type TemporalError struct {
 
 func (e *TemporalError) Error() string { return "temporal check failed: " + e.Msg }
 
-// TemporalState is the shadow-tag store. regTags is swapped per thread in
-// concurrent mode; memTags covers the whole (shared) address space at word
+// TemporalState is the shadow-tag store. regTags is the current thread's,
+// re-aimed at every context switch; memTags covers the whole (shared) address space at word
 // granularity, with absent entries meaning tag 0. Track owns all
 // propagation; the dispatch loop only consumes SetTag/RetTag at
 // call-return sites.
@@ -45,11 +45,8 @@ type TemporalState struct {
 	RetTag uint32
 }
 
-func newTemporalState(nregs int) *TemporalState {
-	return &TemporalState{
-		regTags: make([]uint32, nregs),
-		memTags: make(map[uint32]uint32),
-	}
+func newTemporalState() *TemporalState {
+	return &TemporalState{memTags: make(map[uint32]uint32)}
 }
 
 func (t *TemporalState) tag(r machine.Reg) uint32 {

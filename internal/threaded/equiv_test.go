@@ -1,12 +1,12 @@
-// Package threaded_test cross-checks the interpreter's two instruction
-// paths. A single-thread run goes through the dispatch loop, whose inline
-// fast paths re-implement the common opcodes; a concurrent run (Threads > 1)
-// goes through the quantum scheduler, which dispatches every opcode through
-// the reference Step. Run on a two-thread machine whose only runnable
-// thread is the entry, the scheduler executes the very program the
-// dispatch loop does — thread 0's stack segment starts at the same stack
-// top, and the stack-depth limit is far above anything the workloads use —
-// so every observable must be bit-identical.
+// Package threaded_test checks that slicing a run into scheduler quanta is
+// invisible. A single-thread run executes the entry in one call of the
+// dispatch loop with an unbounded quantum; on a two-thread machine whose
+// only runnable thread is the entry, the scheduler runs the same program
+// through the same loop one seeded quantum at a time, so every frame
+// boundary, poll countdown and collection tick is resumed across yields.
+// Thread 0's stack segment starts at the same stack top, and the
+// stack-depth limit is far above anything the workloads use, so every
+// observable must be bit-identical.
 package threaded_test
 
 import (
@@ -24,9 +24,9 @@ import (
 	"gcsafety/internal/workloads"
 )
 
-// The path contract: for any program, any machine configuration and any
-// execution regime, the dispatch loop must produce results bit-identical to
-// the scheduler's Step path — output bytes, exit code, instruction and
+// The quantum contract: for any program, any machine configuration and any
+// execution regime, the unbounded run must produce results bit-identical
+// to the quantum-sliced run — output bytes, exit code, instruction and
 // cycle counts, GC statistics, and, on failing runs, the same fault at the
 // same pc with the same message. These tests drive the contract over the
 // benchmark suite and the full hazard catalogue under both benign and
@@ -83,11 +83,11 @@ func entryOnly(prog *machine.Program) *machine.Program {
 	return q
 }
 
-// stepPath returns the program and options that run prog's single-thread
-// execution through the scheduler's Step path. A concurrent regime already
-// runs there; its second run checks the scheduler's determinism contract
-// (same program, input and seed, bit-identical run).
-func stepPath(prog *machine.Program, opts interp.Options) (*machine.Program, interp.Options) {
+// slicedPath returns the program and options that run prog's single-thread
+// execution in scheduler quanta. A concurrent regime already runs there;
+// its second run checks the scheduler's determinism contract (same
+// program, input and seed, bit-identical run).
+func slicedPath(prog *machine.Program, opts interp.Options) (*machine.Program, interp.Options) {
 	if opts.Threads > 1 {
 		return prog, opts
 	}
@@ -95,38 +95,38 @@ func stepPath(prog *machine.Program, opts interp.Options) (*machine.Program, int
 	return entryOnly(prog), opts
 }
 
-// assertPathEquivalence runs prog through the dispatch loop and through
-// the Step path and fails unless every observable is identical.
+// assertPathEquivalence runs prog unbounded and in quanta and fails unless
+// every observable is identical.
 func assertPathEquivalence(t *testing.T, prog *machine.Program, opts interp.Options) {
 	t.Helper()
 	want, wantErr := interp.Run(prog, opts)
-	got, gotErr := interp.Run(stepPath(prog, opts))
+	got, gotErr := interp.Run(slicedPath(prog, opts))
 	if (wantErr == nil) != (gotErr == nil) ||
 		(wantErr != nil && wantErr.Error() != gotErr.Error()) {
-		t.Fatalf("paths disagree on outcome:\n  dispatch: %v\n  step:     %v", wantErr, gotErr)
+		t.Fatalf("runs disagree on outcome:\n  unbounded: %v\n  sliced:    %v", wantErr, gotErr)
 	}
 	if want.Output != got.Output {
-		t.Errorf("output diverges:\n  dispatch: %q\n  step:     %q", want.Output, got.Output)
+		t.Errorf("output diverges:\n  unbounded: %q\n  sliced:    %q", want.Output, got.Output)
 	}
 	if want.ExitCode != got.ExitCode {
-		t.Errorf("exit code diverges: dispatch %d, step %d", want.ExitCode, got.ExitCode)
+		t.Errorf("exit code diverges: unbounded %d, sliced %d", want.ExitCode, got.ExitCode)
 	}
 	if want.Instrs != got.Instrs || want.Cycles != got.Cycles {
-		t.Errorf("accounting diverges: dispatch instrs=%d cycles=%d, step instrs=%d cycles=%d",
+		t.Errorf("accounting diverges: unbounded instrs=%d cycles=%d, sliced instrs=%d cycles=%d",
 			want.Instrs, want.Cycles, got.Instrs, got.Cycles)
 	}
 	if !reflect.DeepEqual(want.GCStats, got.GCStats) {
-		t.Errorf("GC statistics diverge:\n  dispatch: %+v\n  step:     %+v", want.GCStats, got.GCStats)
+		t.Errorf("GC statistics diverge:\n  unbounded: %+v\n  sliced:    %+v", want.GCStats, got.GCStats)
 	}
 	if (want.Snapshot == nil) != (got.Snapshot == nil) {
-		t.Fatalf("snapshot presence diverges: dispatch %v, step %v",
+		t.Fatalf("snapshot presence diverges: unbounded %v, sliced %v",
 			want.Snapshot != nil, got.Snapshot != nil)
 	}
 	if want.Snapshot != nil {
 		if want.Snapshot.Trigger != got.Snapshot.Trigger ||
 			want.Snapshot.Reason != got.Snapshot.Reason ||
 			want.Snapshot.FaultAddr != got.Snapshot.FaultAddr {
-			t.Errorf("snapshot classification diverges:\n  dispatch: trigger=%q addr=%#x reason=%q\n  step:     trigger=%q addr=%#x reason=%q",
+			t.Errorf("snapshot classification diverges:\n  unbounded: trigger=%q addr=%#x reason=%q\n  sliced:    trigger=%q addr=%#x reason=%q",
 				want.Snapshot.Trigger, want.Snapshot.FaultAddr, want.Snapshot.Reason,
 				got.Snapshot.Trigger, got.Snapshot.FaultAddr, got.Snapshot.Reason)
 		}
@@ -174,7 +174,7 @@ func execRegimes(w workloads.Workload) []execRegime {
 }
 
 // TestEngineEquivalenceHazards drives every hazard workload through the
-// treatment × regime grid: the two paths must agree on every violation
+// treatment × regime grid: the two runs must agree on every violation
 // classification (message for message, fault address for fault address)
 // as well as on every clean run.
 func TestEngineEquivalenceHazards(t *testing.T) {
