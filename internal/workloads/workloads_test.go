@@ -309,7 +309,8 @@ func TestWorkloadsSafeUnderAsyncGC(t *testing.T) {
 // pinConcurrentRuns records the hazard workloads' concurrent runs in
 // sim.golden: each build at Threads 2 and 4 under three schedule seeds,
 // with and without CollectAtSwitch, plus the edge cases of the quantum
-// scheduler — an instruction budget that runs out mid-quantum, the
+// scheduler — an instruction budget that runs out with a quantum or in
+// the middle of one, the
 // interp.step fault point firing on the poll schedule inside a quantum,
 // and a one-thread run, which must ignore CollectAtSwitch. The records
 // pin the interleaving, so any change to the scheduler or the instruction
@@ -355,14 +356,19 @@ func pinConcurrentRuns(t *testing.T, golden *simGoldens) {
 				if w.Name != "escape" {
 					continue
 				}
-				opts := base
-				opts.Threads, opts.SchedSeed, opts.MaxInstrs = 4, 1, 20_000
-				record("mt4 seed1 max20000", opts)
+				// Seed 1's schedule ends a quantum of main at instruction
+				// 3536: a budget that runs out there too yields first, and
+				// thread1 takes the fault. 20000 lands mid-quantum.
+				for _, max := range []uint64{3536, 20_000} {
+					opts := base
+					opts.Threads, opts.SchedSeed, opts.MaxInstrs = 4, 1, max
+					record(fmt.Sprintf("mt4 seed1 max%d", max), opts)
+				}
 				faults, err := faultinject.Parse("interp.step=error,after=3", 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				opts = base
+				opts := base
 				opts.Threads, opts.SchedSeed, opts.Faults = 4, 1, faults
 				record("mt4 seed1 interp.step=error,after=3", opts)
 				opts = base
