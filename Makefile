@@ -2,10 +2,14 @@
 #
 #   make check        the full pre-merge gate: gofmt, vet, build, the short
 #                     test suite under the race detector, the full test
-#                     suite, bench-smoke, a 10-second native-fuzzing smoke
-#                     run per fuzz target, and the pipeline-, elision-,
-#                     serve-, chaos-, heapdump- and cluster-smoke gates
+#                     suite, the benchmark module's tests, bench-smoke, a
+#                     10-second native-fuzzing smoke run per fuzz target,
+#                     and the pipeline-, elision-, serve-, chaos-, heapdump-
+#                     and cluster-smoke gates
 #   make test         tier-1: exactly what CI runs (see ROADMAP.md)
+#   make benchmark-test  the benchmark module's own tests (cd benchmark &&
+#                     go test ./...), which gate testdata/tables.golden;
+#                     the root module's go test ./... does not reach them
 #   make fuzz-smoke   just the fuzzing smoke runs
 #   make fuzz         a longer local fuzzing session (5 minutes per target)
 #   make serve-smoke  build the real gcsafed binary, start it on a random
@@ -43,9 +47,9 @@ GO ?= go
 FUZZPKG := ./internal/fuzz
 FUZZTARGETS := FuzzDifferential FuzzParserRoundtrip FuzzFaultInjection FuzzTemporalDifferential
 
-.PHONY: check fmt-check vet build test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke
+.PHONY: check fmt-check vet build test benchmark-test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke
 
-check: fmt-check vet build race test bench-smoke fuzz-smoke pipeline-smoke elision-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
+check: fmt-check vet build race test benchmark-test bench-smoke fuzz-smoke pipeline-smoke elision-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
 
 fmt-check:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -60,6 +64,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is its own Go module (it imports the repo through a replace
+# directive), so the root test run skips it; TestTablesGolden there pins
+# every paper table byte for byte.
+benchmark-test:
+	cd benchmark && $(GO) test ./...
 
 # The race run uses -short: the differential matrix's 2000-program run is
 # covered by `test` above, and under the race detector a 100-program slice
