@@ -1,6 +1,7 @@
 package interp
 
 import (
+	"errors"
 	"fmt"
 
 	"gcsafety/internal/machine"
@@ -205,7 +206,7 @@ func (c *Machine) run(t *mthread, quantum uint64) error {
 				}
 				v, err := c.RuntimeCall(fn.Name, in)
 				if err != nil {
-					if err == errJoinWait {
+					if errors.Is(err, errJoinWait) {
 						fr.PC = pc - 1 // retry the join on the thread's next quantum
 						return nil
 					}
