@@ -186,12 +186,8 @@ func (c *Machine) run(t *mthread, quantum uint64) error {
 				}
 				c.SP = ns
 			case machine.Ret:
-				var v uint32
-				if in.Rs1 != machine.NoReg {
-					v = c.Reg(in.Rs1)
-				}
 				c.SP = fr.SavedSP
-				c.SetReg(fr.RetReg, v)
+				c.SetReg(fr.RetReg, c.Reg(in.Rs1)) // a bare ret reads NoReg: 0
 				if tt != nil {
 					tt.SetTag(fr.RetReg, tt.RetTag)
 				}
