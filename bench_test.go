@@ -266,15 +266,20 @@ func BenchmarkAblationTriggerPolicy(b *testing.B) {
 // BenchmarkInterpThroughput measures raw interpreter speed — simulated
 // megacycles per host second — on the two heaviest workloads. This is the
 // number the dispatch loop in internal/interp/dispatch.go is tuned
-// against; EXPERIMENTS.md records its history.
+// against; EXPERIMENTS.md records its history. The -mt2 variants run the
+// same builds on a two-thread machine, where the scheduler drives the
+// loop one quantum at a time.
 func BenchmarkInterpThroughput(b *testing.B) {
 	cfg := machine.SPARCstation10()
-	for _, name := range []string{"gawk", "gs"} {
-		w, ok := workloads.ByName(name)
+	for _, bm := range []struct {
+		name    string
+		threads int
+	}{{"gawk", 0}, {"gs", 0}, {"gawk-mt2", 2}, {"gs-mt2", 2}} {
+		w, ok := workloads.ByName(strings.TrimSuffix(bm.name, "-mt2"))
 		if !ok {
-			b.Fatalf("no workload %q", name)
+			b.Fatalf("no workload for %q", bm.name)
 		}
-		b.Run(name, func(b *testing.B) {
+		b.Run(bm.name, func(b *testing.B) {
 			prog, _, err := Build(w.Name+".c", w.Source, Pipeline{Optimize: true, Machine: &cfg})
 			if err != nil {
 				b.Fatal(err)
@@ -282,7 +287,7 @@ func BenchmarkInterpThroughput(b *testing.B) {
 			var cycles uint64
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := interp.Run(prog, interp.Options{Config: cfg, Input: w.Input})
+				res, err := interp.Run(prog, interp.Options{Config: cfg, Input: w.Input, Threads: bm.threads})
 				if err != nil {
 					b.Fatal(err)
 				}
