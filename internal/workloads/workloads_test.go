@@ -138,7 +138,6 @@ func (g *simGoldens) write(t *testing.T) {
 func TestWorkloadsAllModes(t *testing.T) {
 	golden := loadSimGoldens(t)
 	defer golden.write(t)
-	defer pinConcurrentRuns(t, golden)
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
@@ -193,6 +192,7 @@ func TestWorkloadsAllModes(t *testing.T) {
 			})
 		})
 	}
+	pinConcurrentRuns(t, golden)
 }
 
 func TestWorkloadsAreAllocationIntensive(t *testing.T) {
@@ -310,11 +310,10 @@ func TestWorkloadsSafeUnderAsyncGC(t *testing.T) {
 // sim.golden: each build at Threads 2 and 4 under three schedule seeds,
 // with and without CollectAtSwitch, plus the edge cases of the quantum
 // scheduler — an instruction budget that runs out with a quantum or in
-// the middle of one, the
-// interp.step fault point firing on the poll schedule inside a quantum,
-// and a one-thread run, which must ignore CollectAtSwitch. The records
-// pin the interleaving, so any change to the scheduler or the instruction
-// loop that perturbs it shows up here.
+// the middle of one, the interp.step fault point firing on the poll
+// schedule inside a quantum, and a one-thread run, which must ignore
+// CollectAtSwitch. The records pin the interleaving, so any change to the
+// scheduler or the instruction loop that perturbs it shows up here.
 func pinConcurrentRuns(t *testing.T, golden *simGoldens) {
 	builds := []buildMode{
 		{name: "-O", optimize: true},
@@ -359,10 +358,10 @@ func pinConcurrentRuns(t *testing.T, golden *simGoldens) {
 				// Seed 1's schedule ends a quantum of main at instruction
 				// 3536: a budget that runs out there too yields first, and
 				// thread1 takes the fault. 20000 lands mid-quantum.
-				for _, max := range []uint64{3536, 20_000} {
+				for _, budget := range []uint64{3536, 20_000} {
 					opts := base
-					opts.Threads, opts.SchedSeed, opts.MaxInstrs = 4, 1, max
-					record(fmt.Sprintf("mt4 seed1 max%d", max), opts)
+					opts.Threads, opts.SchedSeed, opts.MaxInstrs = 4, 1, budget
+					record(fmt.Sprintf("mt4 seed1 max%d", budget), opts)
 				}
 				faults, err := faultinject.Parse("interp.step=error,after=3", 1)
 				if err != nil {
