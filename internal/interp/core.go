@@ -33,11 +33,16 @@ type Machine struct {
 	// SP is the current stack pointer.
 	SP     uint32
 	static []byte
-	stack  []byte
-	byID   map[int32]*machine.Func
-	meta   map[*machine.Func]*FuncMeta
-	out    strings.Builder
-	in     int
+	// stack backs the materialized part of the simulated stack,
+	// [stackBase, StackTop). It starts at one page and growStack doubles
+	// it on demand, so a run allocates the stack it touches, not the
+	// whole MiB; the rest of [StackLimit, StackTop) reads as zeros.
+	stack     []byte
+	stackBase uint32
+	byID      map[int32]*machine.Func
+	meta      map[*machine.Func]*FuncMeta
+	out       strings.Builder
+	in        int
 	// Instrs and OpCounts are the simulated accounting — the reproduction's
 	// data: the executed instructions, in total and per opcode. They are
 	// charged before the temporal track, both before the opcode executes.
@@ -98,14 +103,15 @@ func New(prog *machine.Program, opts Options) *Machine {
 		opts.Entry = "main"
 	}
 	c := &Machine{
-		prog:   prog,
-		Opts:   opts,
-		Ctx:    context.Background(),
-		cfg:    opts.Config,
-		static: append([]byte(nil), prog.Data...),
-		stack:  make([]byte, machine.StackTop-machine.StackLimit),
-		byID:   map[int32]*machine.Func{},
-		rng:    0x9E3779B9,
+		prog:      prog,
+		Opts:      opts,
+		Ctx:       context.Background(),
+		cfg:       opts.Config,
+		static:    append([]byte(nil), prog.Data...),
+		stack:     make([]byte, stackPage),
+		stackBase: machine.StackTop - stackPage,
+		byID:      map[int32]*machine.Func{},
+		rng:       0x9E3779B9,
 	}
 	if opts.Temporal {
 		c.TT = newTemporalState()
@@ -276,14 +282,16 @@ func (c *Machine) WalkRoots(fn func(RootSegment)) {
 }
 
 // stackSegment is the live stack of one thread: the words from sp (rounded
-// down to a word boundary) up to the thread's stack top hi.
+// down to a word boundary) up to the thread's stack top hi. AdjSP and
+// runThreads keep every such segment materialized, so a root scan never
+// grows the stack.
 func (c *Machine) stackSegment(thread int, sp, hi uint32) RootSegment {
 	lo := sp &^ 3
 	if lo > hi {
 		lo = hi
 	}
 	return RootSegment{Kind: heapdump.RootStack, Thread: thread, Base: lo,
-		Mem: c.stack[lo-machine.StackLimit : hi-machine.StackLimit]}
+		Mem: c.stack[lo-c.stackBase : hi-c.stackBase]}
 }
 
 // ScanRoots implements gc.RootScanner: registers go through visit one word

@@ -184,6 +184,9 @@ func (c *Machine) run(t *mthread, quantum uint64) error {
 					return &FaultError{Fn: fn.Name, PC: pc - 1,
 						Err: fmt.Errorf("stack overflow (sp=%#x)", ns)}
 				}
+				if ns < c.stackBase {
+					c.growStack(ns)
+				}
 				c.SP = ns
 			case machine.Ret:
 				c.SP = fr.SavedSP

@@ -3,7 +3,6 @@ package interp
 import (
 	"fmt"
 
-	"gcsafety/internal/gc"
 	"gcsafety/internal/machine"
 )
 
@@ -11,14 +10,49 @@ import (
 //
 //	0x00002000 .. : static data segment (GC roots, scanned)
 //	0x10000000 .. : collected heap (internal/gc)
-//	0x3ff00000 .. 0x40000000 : stack, grows down (GC roots, scanned)
+//	0x3ff00000 .. 0x40000000 : stack, grows down (GC roots, scanned);
+//	                           materialized on demand from the top
+//
+// The host backs only the stack's materialized part, [stackBase,
+// StackTop): one page at first, doubled by growStack whenever AdjSP moves
+// a stack pointer below it, runThreads places a worker's segment below
+// it, or an access lands in [StackLimit, stackBase). The map, fault
+// addresses and fault messages are those of a fully backed stack.
+
+// stackPage is the stack's initial materialized size.
+const stackPage = 4 << 10
 
 func (c *Machine) inStatic(a uint32) bool {
 	return a >= machine.DataBase && a < machine.DataBase+uint32(len(c.static))
 }
 
+// inStack reports whether a lies in the materialized stack: the stack
+// fast path is this one compare.
 func (c *Machine) inStack(a uint32) bool {
-	return a >= machine.StackLimit && a < machine.StackTop
+	return a-c.stackBase < uint32(len(c.stack))
+}
+
+// inStackReserve reports whether a lies in the stack but below its
+// materialized part.
+func (c *Machine) inStackReserve(a uint32) bool {
+	return a >= machine.StackLimit && a < c.stackBase
+}
+
+// growStack materializes the stack down to a (StackLimit <= a), doubling
+// the backing slice until it covers a and copying the old contents to the
+// top. The new bytes are zero, as untouched stack always reads.
+func (c *Machine) growStack(a uint32) {
+	if a >= c.stackBase {
+		return
+	}
+	n := uint32(len(c.stack))
+	for machine.StackTop-n > a {
+		n *= 2
+	}
+	grown := make([]byte, n)
+	copy(grown[n-uint32(len(c.stack)):], c.stack)
+	c.stack = grown
+	c.stackBase = machine.StackTop - n
 }
 
 // validate runs the premature-reclamation detector on heap accesses.
@@ -34,8 +68,7 @@ func (c *Machine) read32raw(a uint32) (uint32, error) {
 	// dominates the access mix of every workload.
 	switch {
 	case c.inStack(a):
-		off := a - machine.StackLimit
-		s := c.stack[off:]
+		s := c.stack[a-c.stackBase:]
 		return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24, nil
 	case c.inStatic(a):
 		off := a - machine.DataBase
@@ -46,6 +79,9 @@ func (c *Machine) read32raw(a uint32) (uint32, error) {
 		return uint32(s[0]) | uint32(s[1])<<8 | uint32(s[2])<<16 | uint32(s[3])<<24, nil
 	case c.heap.Contains(a):
 		return c.heap.ReadWord(a)
+	case c.inStackReserve(a):
+		c.growStack(a)
+		return c.read32raw(a)
 	}
 	return 0, fmt.Errorf("read of unmapped address %#x", a)
 }
@@ -73,7 +109,7 @@ func (c *Machine) Write32(a, v uint32) error {
 	}
 	switch {
 	case c.inStack(a):
-		off := a - machine.StackLimit
+		off := a - c.stackBase
 		c.stack[off] = byte(v)
 		c.stack[off+1] = byte(v >> 8)
 		c.stack[off+2] = byte(v >> 16)
@@ -94,6 +130,9 @@ func (c *Machine) Write32(a, v uint32) error {
 			return err
 		}
 		return c.heap.WriteWord(a, v)
+	case c.inStackReserve(a):
+		c.growStack(a)
+		return c.Write32(a, v)
 	}
 	return fmt.Errorf("write to unmapped address %#x", a)
 }
@@ -103,12 +142,15 @@ func (c *Machine) read8(a uint32) (byte, error) {
 	case c.inStatic(a):
 		return c.static[a-machine.DataBase], nil
 	case c.inStack(a):
-		return c.stack[a-machine.StackLimit], nil
+		return c.stack[a-c.stackBase], nil
 	case c.heap.Contains(a):
 		if err := c.validate(a, 1); err != nil {
 			return 0, err
 		}
 		return c.heap.ReadByteAt(a)
+	case c.inStackReserve(a):
+		c.growStack(a)
+		return c.read8(a)
 	}
 	return 0, fmt.Errorf("read of unmapped address %#x", a)
 }
@@ -119,13 +161,16 @@ func (c *Machine) write8(a uint32, v byte) error {
 		c.static[a-machine.DataBase] = v
 		return nil
 	case c.inStack(a):
-		c.stack[a-machine.StackLimit] = v
+		c.stack[a-c.stackBase] = v
 		return nil
 	case c.heap.Contains(a):
 		if err := c.validate(a, 1); err != nil {
 			return err
 		}
 		return c.heap.WriteByteAt(a, v)
+	case c.inStackReserve(a):
+		c.growStack(a)
+		return c.write8(a, v)
 	}
 	return fmt.Errorf("write to unmapped address %#x", a)
 }
@@ -170,5 +215,3 @@ func (c *Machine) cstring(a uint32) (string, error) {
 	}
 	return "", fmt.Errorf("unterminated string at %#x", a)
 }
-
-var _ = gc.WordSize // documented relationship with the collector layout

@@ -63,6 +63,7 @@ func (c *Machine) runThreads(entry *machine.Func) error {
 			}
 		}
 		hi := uint32(machine.StackTop) - uint32(i)*seg
+		c.growStack(hi) // back the segment's (empty) root range [sp, hi)
 		t := &mthread{
 			id:   i,
 			regs: make([]uint32, c.cfg.NumRegs),
