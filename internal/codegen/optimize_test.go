@@ -272,8 +272,8 @@ func TestAllocateNoVirtualsRemain(t *testing.T) {
 		if d := machine.Def(in); d.IsVirtual() {
 			t.Fatalf("virtual def survives allocation: %v", in)
 		}
-		buf = buf[:0]
-		for _, u := range machine.Uses(in, buf) {
+		buf = machine.Uses(in, buf[:0])
+		for _, u := range buf {
 			if u.IsVirtual() {
 				t.Fatalf("virtual use survives allocation: %v", in)
 			}

@@ -82,6 +82,29 @@ func TestDefAndUses(t *testing.T) {
 	}
 }
 
+// TestUsesAllocFree pins the compiler's use-scan contract: Uses appends
+// into the caller's buffer, so a buffer with room for an instruction's
+// three operands is reused without allocating.
+func TestUsesAllocFree(t *testing.T) {
+	buf := make([]Reg, 0, 3)
+	ins := []Instr{
+		RR(Add, 1, 2, 3),
+		{Op: St, Rd: 1, Rs1: 2, Rs2: 3},
+		{Op: KeepLive, Rd: 1, Rs1: 2, Rs2: 3},
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, in := range ins {
+			buf = Uses(in, buf[:0])
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Uses allocates %.1f objects per call, want 0", allocs)
+	}
+	if cap(buf) != 3 {
+		t.Fatalf("Uses regrew the buffer to capacity %d", cap(buf))
+	}
+}
+
 func TestListingAndSize(t *testing.T) {
 	f := &Func{
 		Name: "f",

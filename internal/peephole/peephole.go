@@ -165,8 +165,8 @@ func analyze(code []machine.Instr) *analysis {
 				if d := machine.Def(code[j]); d != machine.NoReg {
 					delete(in, d)
 				}
-				buf = buf[:0]
-				for _, u := range machine.Uses(code[j], buf) {
+				buf = machine.Uses(code[j], buf[:0])
+				for _, u := range buf {
 					in[u] = true
 				}
 			}
@@ -219,8 +219,8 @@ func (a *analysis) deadAfter(pos int, r machine.Reg) bool {
 	end := a.blockEnd(pos)
 	var buf []machine.Reg
 	for j := pos + 1; j < end; j++ {
-		buf = buf[:0]
-		for _, u := range machine.Uses(a.code[j], buf) {
+		buf = machine.Uses(a.code[j], buf[:0])
+		for _, u := range buf {
 			if u == r {
 				return false
 			}
@@ -261,8 +261,8 @@ func fuseAddLoad(code []machine.Instr, a *analysis) (bool, []machine.Instr) {
 			// operands must not change before the use of z
 			d := machine.Def(u)
 			usesZ := false
-			buf = buf[:0]
-			for _, r := range machine.Uses(u, buf) {
+			buf = machine.Uses(u, buf[:0])
+			for _, r := range buf {
 				if r == z {
 					usesZ = true
 				}
@@ -369,8 +369,8 @@ func forwardCopy(code []machine.Instr, a *analysis) (bool, []machine.Instr) {
 }
 
 func instrUses(in machine.Instr, r machine.Reg) bool {
-	var buf []machine.Reg
-	for _, u := range machine.Uses(in, buf) {
+	var buf [3]machine.Reg
+	for _, u := range machine.Uses(in, buf[:0]) {
 		if u == r {
 			return true
 		}
