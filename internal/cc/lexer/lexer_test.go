@@ -200,3 +200,24 @@ func TestKeywordsAllRecognized(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayMatchesLiveLexer pins the replay contract on malformed input:
+// after every token, a Replay over ScanAll delivers the live Lexer's token
+// and reports exactly the errors the live Lexer has reported so far.
+func TestReplayMatchesLiveLexer(t *testing.T) {
+	for _, src := range []string{"", "int x;", "a @ b $ 1.5 @@ c", `x = "abc`, "@/* never closed"} {
+		live, r := New(src), ScanAll(src).Replay()
+		for i := 0; ; i++ {
+			want, got := live.Next(), r.Next()
+			if got != want {
+				t.Fatalf("%q token %d: replay %+v, live %+v", src, i, got, want)
+			}
+			if g, w := len(r.Errs()), len(live.Errs()); g != w {
+				t.Fatalf("%q token %d: replay reports %d errors, live %d", src, i, g, w)
+			}
+			if want.Kind == token.EOF {
+				break
+			}
+		}
+	}
+}
