@@ -145,6 +145,30 @@ func TestCheckEndpoint(t *testing.T) {
 	}
 }
 
+// TestCheckWarningsNameTheirOwnFile: annotator warnings carry the file
+// name, so two /v1/check requests for one source under different names
+// must not share a cached product — each response names its own file.
+func TestCheckWarningsNameTheirOwnFile(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src := "int main() {\n    int x;\n    x = 5;\n    char *p = (char *)x;\n    return 0;\n}\n"
+	for _, name := range []string{"first.c", "second.c"} {
+		resp, data := postJSON(t, ts.URL+"/v1/check", CheckRequest{Name: name, Source: src})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status = %d: %s", name, resp.StatusCode, data)
+		}
+		var cr CheckResponse
+		unmarshalInto(t, data, &cr)
+		if len(cr.Warnings) == 0 {
+			t.Fatalf("%s: the cast drew no warning: %+v", name, cr)
+		}
+		for _, w := range cr.Warnings {
+			if !strings.HasPrefix(w, name+":") {
+				t.Errorf("%s: warning names another file: %q (cache_hit %v)", name, w, cr.CacheHit)
+			}
+		}
+	}
+}
+
 func TestCompileEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, data := postJSON(t, ts.URL+"/v1/compile", CompileRequest{
