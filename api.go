@@ -198,14 +198,7 @@ func wrapBuildError(err error) error {
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return fmt.Errorf("build: %w", se.Err)
 	}
-	switch se.Stage {
-	case pipeline.StageLex, pipeline.StageParse, pipeline.StageTypecheck:
-		return fmt.Errorf("parse: %w", se.Err)
-	case pipeline.StageAnnotate:
-		return fmt.Errorf("annotate: %w", se.Err)
-	default:
-		return fmt.Errorf("compile: %w", se.Err)
-	}
+	return fmt.Errorf("%s: %w", se.Phase(), se.Err)
 }
 
 // Run executes the full pipeline on one C translation unit.

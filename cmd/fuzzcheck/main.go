@@ -142,16 +142,11 @@ func parseMachines(list string) ([]machine.Config, error) {
 	}
 	var out []machine.Config
 	for _, name := range strings.Split(list, ",") {
-		switch strings.TrimSpace(name) {
-		case "ss2":
-			out = append(out, machine.SPARCstation2())
-		case "ss10":
-			out = append(out, machine.SPARCstation10())
-		case "p90":
-			out = append(out, machine.Pentium90())
-		default:
+		cfg, ok := machine.ByName(strings.TrimSpace(name))
+		if !ok {
 			return nil, fmt.Errorf("unknown machine %q (want ss2, ss10 or p90)", name)
 		}
+		out = append(out, cfg)
 	}
 	return out, nil
 }

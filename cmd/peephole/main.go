@@ -42,15 +42,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var cfg machine.Config
-	switch *machname {
-	case "ss2":
-		cfg = machine.SPARCstation2()
-	case "ss10":
-		cfg = machine.SPARCstation10()
-	case "p90":
-		cfg = machine.Pentium90()
-	default:
+	cfg, ok := machine.ByName(*machname)
+	if !ok {
 		fatal(fmt.Errorf("unknown machine %q", *machname))
 	}
 	var input string

@@ -126,47 +126,48 @@ func ResetCache() {
 	cellCompiles.Store(0)
 }
 
-// cellKey digests everything that influences a cell: the workload's
-// source, input and expected output, the full treatment configuration
-// including annotator ablation options, the machine, and the version
-// fingerprint of every pipeline stage — so shipping a changed stage
-// recomputes every cell built through it.
-func cellKey(w workloads.Workload, tr Treatment, cfg machine.Config) artifact.Key {
-	opts := gcsafe.Options{}
+// options spells one cell as the pipeline's build options and the
+// executor's run options: the two halves every cell and execution key
+// derives from.
+func options(w workloads.Workload, tr Treatment, cfg machine.Config) (pipeline.Options, interp.Options) {
+	ann := gcsafe.Options{}
 	if tr.Gcsafe != nil {
-		opts = *tr.Gcsafe
+		ann = *tr.Gcsafe
 	}
-	k := artifact.NewKey("bench-cell").
-		Str(pipeline.VersionFingerprint()).
-		Str(w.Name).
-		Str(w.Source).
-		Str(w.Input).
-		Str(w.Want).
-		Bool(tr.Annotate).
-		Bool(tr.Checked).
-		Bool(tr.Optimize).
-		Bool(tr.Post).
-		Int(int64(opts.Mode)).
-		Bool(opts.NoCopySuppression).
-		Bool(opts.NoIncDecExpansion).
-		Bool(opts.BaseHeuristic).
-		Bool(opts.CallSiteOnly).
-		Bool(opts.StrictCastWarnings).
-		Int(int64(opts.Style)).
-		Str(cfg.Name)
-	// The temporal/concurrent fields fold in only when set, so every
-	// pre-existing treatment's key stays byte-stable across this extension
-	// (no spurious cache invalidation of the classic tables).
-	if tr.Temporal || tr.Threads > 1 {
-		k = k.Bool(tr.Temporal).
-			Int(int64(tr.Threads)).
-			Int(int64(tr.SchedSeed))
+	if tr.Temporal {
+		ann.Mode = gcsafe.ModeTemporal
+	} else if tr.Checked {
+		ann.Mode = gcsafe.ModeChecked
 	}
-	// Elide likewise folds in only when set.
 	if tr.Elide {
-		k = k.Bool(true)
+		ann.Elide = true
 	}
-	return k.Sum()
+	build := pipeline.Options{
+		Annotate:        tr.Annotate,
+		AnnotateOptions: ann,
+		Optimize:        tr.Optimize,
+		Post:            tr.Post,
+		Machine:         cfg,
+	}
+	run := interp.Options{
+		Config:      cfg,
+		Input:       w.Input,
+		Temporal:    tr.Temporal,
+		Threads:     tr.Threads,
+		SchedSeed:   tr.SchedSeed,
+		HeapProfile: profiled(tr),
+	}
+	return build, run
+}
+
+// cellKey is the key of the cell's execution — the build's final stage
+// key plus the run options, so shipping a changed stage recomputes every
+// cell built through it — plus what the Measurement adds on top: the
+// expected output it is checked against, and the machine whose cost model
+// prices it.
+func cellKey(w workloads.Workload, tr Treatment, cfg machine.Config) artifact.Key {
+	build, run := options(w, tr, cfg)
+	return artifact.NewKey("bench-cell").Str(string(run.Key(build.Key(w.Name+".c", w.Source)))).Str(w.Want).Str(cfg.Name).Sum()
 }
 
 // Measure returns one cell's measurement, computing it at most once per
@@ -217,40 +218,16 @@ func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measu
 // buildAndExecute builds one cell's program on the stage-graph pipeline
 // and executes it.
 func buildAndExecute(w workloads.Workload, tr Treatment, cfg machine.Config) (*pipeline.Result, *execution, error) {
-	opts := gcsafe.Options{}
-	if tr.Gcsafe != nil {
-		opts = *tr.Gcsafe
-	}
-	if tr.Temporal {
-		opts.Mode = gcsafe.ModeTemporal
-	} else if tr.Checked {
-		opts.Mode = gcsafe.ModeChecked
-	}
-	if tr.Elide {
-		opts.Elide = true
-	}
-	b, err := pipe.Build(context.Background(), w.Name+".c", w.Source, pipeline.Options{
-		Annotate:        tr.Annotate,
-		AnnotateOptions: opts,
-		Optimize:        tr.Optimize,
-		Post:            tr.Post,
-		Machine:         cfg,
-	})
+	build, run := options(w, tr, cfg)
+	b, err := pipe.Build(context.Background(), w.Name+".c", w.Source, build)
 	if err != nil {
 		var se *pipeline.StageError
 		if errors.As(err, &se) {
-			switch se.Stage {
-			case pipeline.StageLex, pipeline.StageParse, pipeline.StageTypecheck:
-				return nil, nil, fmt.Errorf("%s: parse: %w", w.Name, se.Err)
-			case pipeline.StageAnnotate:
-				return nil, nil, fmt.Errorf("%s: annotate: %w", w.Name, se.Err)
-			default:
-				return nil, nil, fmt.Errorf("%s: compile: %w", w.Name, se.Err)
-			}
+			return nil, nil, fmt.Errorf("%s: %s: %w", w.Name, se.Phase(), se.Err)
 		}
 		return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	x, err := execute(b, w, tr, cfg)
+	x, err := execute(b, run)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -272,32 +249,16 @@ func profiled(tr Treatment) bool {
 	return tr.Optimize && !tr.Annotate && !tr.Post && !tr.Temporal && tr.Threads <= 1
 }
 
-// execute runs a built program once per distinct execution. The run never
-// reads the cost model, so cells that differ only in it — the same
-// treatment on the SPARCstation 2 and 10 — share one execution and each
-// prices it with its own machine. The execution is keyed on the program's
-// stage key, never on the program pointer, plus everything else the run
-// reads: the code-shaping machine fields, the input and the execution
-// options. The outcome, error included, is cached as the value, so a run
-// that fails the same way for every sharer runs once.
-func execute(b *pipeline.Result, w workloads.Workload, tr Treatment, cfg machine.Config) (*execution, error) {
-	profile := profiled(tr)
-	k := pipeline.MachineFields(artifact.NewKey("bench-exec").Str(string(b.Key)), cfg).
-		Str(w.Input).
-		Bool(tr.Temporal).
-		Int(int64(tr.Threads)).
-		Uint(tr.SchedSeed).
-		Bool(profile).
-		Sum()
-	v, _, err := cells.GetOrCompute(context.Background(), k, func() (any, int64, error) {
-		res, err := interp.Run(b.Prog, interp.Options{
-			Config:      cfg,
-			Input:       w.Input,
-			Temporal:    tr.Temporal,
-			Threads:     tr.Threads,
-			SchedSeed:   tr.SchedSeed,
-			HeapProfile: profile,
-		})
+// execute runs a built program once per distinct execution, keyed on the
+// program's stage key, never on the program pointer, plus the run
+// options. The run never reads the cost model, so cells that differ only
+// in it — the same treatment on the SPARCstation 2 and 10 — share one
+// execution and each prices it with its own machine. The outcome, error
+// included, is cached as the value, so a run that fails the same way for
+// every sharer runs once.
+func execute(b *pipeline.Result, run interp.Options) (*execution, error) {
+	v, _, err := cells.GetOrCompute(context.Background(), run.Key(b.Key), func() (any, int64, error) {
+		res, err := interp.Run(b.Prog, run)
 		if err != nil {
 			return &execution{err: err}, 128, nil
 		}

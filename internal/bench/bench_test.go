@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"math"
 	"strings"
 	"sync"
@@ -279,29 +280,46 @@ func TestRetainedColumn(t *testing.T) {
 	}
 }
 
-// TestCellKeyStableForClassicTreatments pins the cache-compatibility rule
-// of the temporal/concurrent extension: the new Treatment fields fold into
-// the cell key only when actually set, so every pre-existing treatment
-// digests to exactly the key it had before the fields existed — warm
-// caches and recorded measurements of the classic tables stay valid.
-func TestCellKeyStableForClassicTreatments(t *testing.T) {
+// allTreatments is every canonical treatment of the tables.
+var allTreatments = []Treatment{
+	Opt, OptSafe, Debug, DebugChecked, OptSafePost,
+	OptSafeElided, DebugCheckedElided, OptTemporal, OptSafeConcurrent,
+}
+
+// TestCellKeySeparatesTreatments: the temporal and concurrent treatments
+// do not collide with their classic counterparts, nor cells priced on
+// machines that share one execution. (A stage version bump reaching the
+// cell key through the build key is TestStageVersionBumpInvalidatesCells.)
+func TestCellKeySeparatesTreatments(t *testing.T) {
 	w := workloads.All()[0]
 	cfg := machine.SPARCstation10()
-	for _, tr := range []Treatment{Opt, OptSafe, Debug, DebugChecked, OptSafePost} {
-		zeroed := tr
-		zeroed.Temporal = false
-		zeroed.Threads = 0
-		zeroed.SchedSeed = 0x5bd1e995 // must be ignored off the concurrent path
-		if cellKey(w, tr, cfg) != cellKey(w, zeroed, cfg) {
-			t.Errorf("%s: temporal/concurrent zero fields perturb the classic cell key", tr.Name)
-		}
-	}
-	// The new treatments must not collide with their classic counterparts.
 	if cellKey(w, OptTemporal, cfg) == cellKey(w, OptSafe, cfg) {
 		t.Error("temporal treatment collides with the safe treatment")
 	}
 	if cellKey(w, OptSafeConcurrent, cfg) == cellKey(w, OptSafe, cfg) {
 		t.Error("concurrent treatment collides with the single-thread treatment")
+	}
+	if cellKey(w, Opt, machine.SPARCstation2()) == cellKey(w, Opt, cfg) {
+		t.Error("cells priced on different machines collide")
+	}
+}
+
+// TestResultKeyIsOptionsKey: every table treatment on every machine
+// builds to the key its build options derive without building, so the
+// cell key names the program the cell measures.
+func TestResultKeyIsOptionsKey(t *testing.T) {
+	w := workloads.All()[0]
+	for _, cfg := range machine.Configs() {
+		for _, tr := range allTreatments {
+			build, _ := options(w, tr, cfg)
+			b, err := pipe.Build(context.Background(), w.Name+".c", w.Source, build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Key != build.Key(w.Name+".c", w.Source) {
+				t.Errorf("%s [%s]: Result.Key differs from Options.Key", tr.Name, cfg.Name)
+			}
+		}
 	}
 }
 

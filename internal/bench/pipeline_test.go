@@ -47,7 +47,7 @@ func TestMeasureAllSharesFrontEnd(t *testing.T) {
 }
 
 // TestStageVersionBumpInvalidatesCells pins the invalidation rule that
-// folds pipeline stage versions into bench cell keys: bumping any
+// reaches bench cell keys through the build key's stage chain: bumping a
 // stage's version must recompute cells, not serve stale measurements.
 func TestStageVersionBumpInvalidatesCells(t *testing.T) {
 	defer ResetCache()

@@ -90,7 +90,7 @@ const concThreads = 4
 // Name is a compact human-readable treatment label.
 func (t Treatment) Name() string {
 	var b strings.Builder
-	b.WriteString(shortMachine(t.Machine))
+	b.WriteString(t.Machine.ShortName())
 	if t.Optimize {
 		b.WriteString("/-O")
 	} else {
@@ -112,18 +112,6 @@ func (t Treatment) Name() string {
 		b.WriteString(" adv")
 	}
 	return b.String()
-}
-
-func shortMachine(cfg machine.Config) string {
-	switch cfg.Name {
-	case "SPARCstation 2":
-		return "ss2"
-	case "SPARCstation 10":
-		return "ss10"
-	case "Pentium 90":
-		return "p90"
-	}
-	return cfg.Name
 }
 
 // MustAgree reports whether the treatment is required to reproduce the
@@ -337,6 +325,25 @@ func RunTreatmentContext(ctx context.Context, p *Program, t Treatment, maxInstrs
 	return runTreatment(ctx, pipeline.NewRunner(artifact.New(0)), p, t, maxInstrs, nil)
 }
 
+// buildOptions spells the treatment's compilation half as pipeline
+// options.
+func (t Treatment) buildOptions() pipeline.Options {
+	opts := pipeline.Options{
+		Annotate: t.Annotate != AnnotateNone,
+		Optimize: t.Optimize,
+		Post:     t.Post,
+		Machine:  t.Machine,
+	}
+	switch t.Annotate {
+	case AnnotateChecked:
+		opts.AnnotateOptions.Mode = gcsafe.ModeChecked
+	case AnnotateTemporal:
+		opts.AnnotateOptions.Mode = gcsafe.ModeTemporal
+	}
+	opts.AnnotateOptions.Elide = t.Elide
+	return opts
+}
+
 // runTreatment builds one treatment on the matrix's shared stage-graph
 // pipeline — treatments differing only in execution regime (or only in
 // back-end options) reuse cached front-end stages — and executes it.
@@ -349,25 +356,11 @@ func runTreatment(ctx context.Context, runner *pipeline.Runner, p *Program, t Tr
 	if err := ctx.Err(); err != nil {
 		return r, fmt.Errorf("matrix: %w", err)
 	}
-	opts := gcsafe.Options{}
-	switch t.Annotate {
-	case AnnotateChecked:
-		opts.Mode = gcsafe.ModeChecked
-	case AnnotateTemporal:
-		opts.Mode = gcsafe.ModeTemporal
-	}
-	opts.Elide = t.Elide
 	bctx := ctx
 	if faults != nil {
 		bctx = faultinject.WithContext(ctx, faults)
 	}
-	b, err := runner.Build(bctx, "fuzz.c", p.Source, pipeline.Options{
-		Annotate:        t.Annotate != AnnotateNone,
-		AnnotateOptions: opts,
-		Optimize:        t.Optimize,
-		Post:            t.Post,
-		Machine:         t.Machine,
-	})
+	b, err := runner.Build(bctx, "fuzz.c", p.Source, t.buildOptions())
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return r, fmt.Errorf("matrix: %w", err)
@@ -378,14 +371,7 @@ func runTreatment(ctx context.Context, runner *pipeline.Runner, p *Program, t Tr
 		}
 		var se *pipeline.StageError
 		if errors.As(err, &se) {
-			switch se.Stage {
-			case pipeline.StageAnnotate:
-				return r, fmt.Errorf("annotate: %w", se.Err)
-			case pipeline.StageCodegen, pipeline.StageOptimize, pipeline.StagePeephole:
-				return r, fmt.Errorf("compile: %w", se.Err)
-			default:
-				return r, fmt.Errorf("parse: %w", se.Err)
-			}
+			return r, fmt.Errorf("%s: %w", se.Phase(), se.Err)
 		}
 		return r, err
 	}

@@ -1,9 +1,12 @@
 package fuzz
 
 import (
+	"context"
 	"testing"
 
+	"gcsafety/internal/artifact"
 	"gcsafety/internal/machine"
+	"gcsafety/internal/pipeline"
 )
 
 func TestTreatmentsCrossProduct(t *testing.T) {
@@ -153,4 +156,26 @@ func findKnownBad(t *testing.T, maxSeeds int64) (*Program, TreatmentResult) {
 	}
 	t.Fatalf("no known-bad program found in %d seeds", maxSeeds)
 	return nil, TreatmentResult{}
+}
+
+// TestResultKeyIsOptionsKey: every matrix treatment builds to the key its
+// build options derive without building, and treatments sharing a key,
+// built on separate runners, compile to the same program.
+func TestResultKeyIsOptionsKey(t *testing.T) {
+	p := Generate(3, 6)
+	listings := map[artifact.Key]string{}
+	for _, tr := range Treatments(MatrixOptions{}) {
+		o := tr.buildOptions()
+		b, err := pipeline.NewRunner(artifact.New(0)).Build(context.Background(), "fuzz.c", p.Source, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Key != o.Key("fuzz.c", p.Source) {
+			t.Errorf("%s: Result.Key differs from Options.Key", tr.Name())
+		}
+		if l, ok := listings[b.Key]; ok && l != b.Prog.Listing() {
+			t.Errorf("%s: shares a key with a treatment that compiles differently", tr.Name())
+		}
+		listings[b.Key] = b.Prog.Listing()
+	}
 }

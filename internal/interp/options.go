@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"gcsafety/internal/artifact"
 	"gcsafety/internal/faultinject"
 	"gcsafety/internal/gc"
 	"gcsafety/internal/heapdump"
@@ -86,6 +87,31 @@ type Options struct {
 	// map insert per allocation — allocations are already collector-priced,
 	// so the cost model is unchanged either way.
 	HeapProfile bool
+}
+
+// Key is the content key of one run of the program whose content key is
+// prog: the program key plus every option the run reads. Faults stays
+// out, and so does Config: its code-shaping fields are already in the
+// program key, and the run never reads its cost model, so a result
+// shared under this key is priced by each caller (Result.Price).
+func (o Options) Key(prog artifact.Key) artifact.Key {
+	return artifact.NewKey("interp.run").
+		Str(string(prog)).
+		Uint(uint64(o.HeapBytes)).
+		Uint(uint64(o.TriggerBytes)).
+		Uint(o.GCEveryInstrs).
+		Bool(o.CollectAtEveryAlloc).
+		Bool(o.Validate).
+		Uint(o.MaxInstrs).
+		Bool(o.BaseOnlyHeap).
+		Bool(o.Temporal).
+		Int(int64(o.Threads)).
+		Uint(o.SchedSeed).
+		Bool(o.CollectAtSwitch).
+		Str(o.Input).
+		Str(o.Entry).
+		Bool(o.HeapProfile).
+		Sum()
 }
 
 // Result reports one execution.

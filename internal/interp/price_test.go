@@ -2,10 +2,13 @@ package interp
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
+	"gcsafety/internal/artifact"
 	"gcsafety/internal/cc/parser"
 	"gcsafety/internal/codegen"
+	"gcsafety/internal/faultinject"
 	"gcsafety/internal/gcsafe"
 	"gcsafety/internal/machine"
 	"gcsafety/internal/workloads"
@@ -127,4 +130,43 @@ func TestPriceTruncatedRun(t *testing.T) {
 		t.Fatalf("err = %v, want ErrInstrLimit", err)
 	}
 	checkPricing(t, "gawk truncated", prog, opts)
+}
+
+// TestOptionsKeyCoversEveryRunField: flipping any option a run reads
+// changes the run's key, so a new knob needs one field and no key code.
+// Faults and Config stay out (see Options.Key): a cost model or a
+// machine name must not split a run that Price shares.
+func TestOptionsKeyCoversEveryRunField(t *testing.T) {
+	const prog = artifact.Key("prog")
+	base := Options{Config: machine.SPARCstation10()}
+	key := base.Key(prog)
+	if base.Key("other prog") == key {
+		t.Error("the program key does not reach the run key")
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		o := base
+		f := reflect.ValueOf(&o).Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Bool:
+			f.SetBool(true)
+		case reflect.Int, reflect.Int64:
+			f.SetInt(3)
+		case reflect.Uint32, reflect.Uint64:
+			f.SetUint(3)
+		case reflect.String:
+			f.SetString("x")
+		case reflect.Struct:
+			o.Config = machine.SPARCstation2()
+		case reflect.Pointer:
+			o.Faults = faultinject.NewSet(1)
+		default:
+			t.Fatalf("%s: no flip for kind %s", name, f.Kind())
+		}
+		ignored := name == "Config" || name == "Faults"
+		if changed := o.Key(prog) != key; changed == ignored {
+			t.Errorf("flipping %s: run key changed = %v, want %v", name, changed, !ignored)
+		}
+	}
 }

@@ -107,7 +107,44 @@ func Pentium90() Config {
 	}
 }
 
+// paperMachines lists the three paper machines in presentation order,
+// under the short names the CLIs and the daemon accept.
+var paperMachines = []struct {
+	short  string
+	config func() Config
+}{
+	{"ss2", SPARCstation2},
+	{"ss10", SPARCstation10},
+	{"p90", Pentium90},
+}
+
 // Configs returns the three paper machines in presentation order.
 func Configs() []Config {
-	return []Config{SPARCstation2(), SPARCstation10(), Pentium90()}
+	out := make([]Config, len(paperMachines))
+	for i, m := range paperMachines {
+		out[i] = m.config()
+	}
+	return out
+}
+
+// ByName returns the paper machine with the given short name: "ss2",
+// "ss10" or "p90".
+func ByName(short string) (Config, bool) {
+	for _, m := range paperMachines {
+		if m.short == short {
+			return m.config(), true
+		}
+	}
+	return Config{}, false
+}
+
+// ShortName returns the configuration's short name ("ss2", "ss10" or
+// "p90"), or its full Name for a machine that is not one of the paper's.
+func (c Config) ShortName() string {
+	for _, m := range paperMachines {
+		if m.config().Name == c.Name {
+			return m.short
+		}
+	}
+	return c.Name
 }

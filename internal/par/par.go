@@ -10,6 +10,8 @@ import (
 	"os"
 	"runtime"
 	"strconv"
+	"sync"
+	"sync/atomic"
 )
 
 // EnvVar overrides the default parallelism degree process-wide.
@@ -33,7 +35,9 @@ func Default() int {
 // needing deterministic output must write results into index i of a
 // preallocated slice and assemble sequentially afterwards. width < 1 is
 // treated as 1; width or n of 1 runs inline with no goroutines at all, so
-// the sequential path stays allocation- and scheduler-free.
+// the sequential path stays allocation- and scheduler-free. A panic in f
+// stops the claiming of further iterations and, once every worker has
+// returned, is re-raised in the caller.
 func ForEach(width, n int, f func(i int)) {
 	if n <= 0 {
 		return
@@ -47,21 +51,34 @@ func ForEach(width, n int, f func(i int)) {
 		}
 		return
 	}
-	next := make(chan int)
-	done := make(chan struct{})
+	var (
+		next     atomic.Int64
+		wg       sync.WaitGroup
+		panicked atomic.Bool
+		once     sync.Once
+		value    any
+	)
+	wg.Add(width)
 	for w := 0; w < width; w++ {
 		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := range next {
+			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					once.Do(func() { value = r })
+					panicked.Store(true)
+				}
+			}()
+			for !panicked.Load() {
+				i := int(next.Add(1) - 1)
+				if i >= n {
+					return
+				}
 				f(i)
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	for w := 0; w < width; w++ {
-		<-done
+	wg.Wait()
+	if panicked.Load() {
+		panic(value)
 	}
 }

@@ -29,7 +29,8 @@ type Options struct {
 	// Post enables the peephole postprocessor stage.
 	Post bool
 	// Machine is the target configuration. Only its code-shaping fields
-	// (MachineFields) reach the program; its name and costs do not.
+	// (register count, TwoOperand, LoadIndexed) reach the program; its
+	// name and costs do not.
 	Machine machine.Config
 	// DisableReassociation / DisableLoadFolding mirror the codegen
 	// ablation switches.
@@ -50,12 +51,11 @@ type Result struct {
 	// Peephole reports what the postprocessor changed (nil when
 	// postprocessing was disabled).
 	Peephole *peephole.Stats
-	// File is the checked — and, when annotation ran, annotated — AST.
-	File *ast.File
 	// Report describes the walk: per-stage cache hits and durations.
 	Report *BuildReport
 	// Key is the content key of the build's final stage (Optimize, or
-	// Peephole under Options.Post): equal keys mean equal programs.
+	// Peephole under Options.Post): equal keys mean equal programs. It
+	// equals Options.Key(name, src).
 	Key artifact.Key
 }
 
@@ -79,49 +79,116 @@ func stageKey(s Stage, upstream artifact.Key) *artifact.KeyBuilder {
 	return artifact.NewKey("pipeline." + string(s)).Str(Version(s)).Str(string(upstream))
 }
 
-// annotateFields folds every annotator option into a key. Elide is folded
-// only when set, so the classic (unelided) treatments keep the keys they
-// had before the elision axis existed.
-func annotateFields(b *artifact.KeyBuilder, o gcsafe.Options) *artifact.KeyBuilder {
-	b = b.Int(int64(o.Mode)).
+// keys is the chain of stage keys one build walks. Each stage key chains
+// on its upstream stage's key, never on an artifact, so the whole chain
+// follows from the name, the source and the options before any stage
+// runs. A stage the build skips has an empty key.
+type keys struct {
+	lex, parse, check artifact.Key
+	live, annotate    artifact.Key
+	codegen, optimize artifact.Key
+	peephole          artifact.Key
+}
+
+// frontKeys derives the keys of the treatment-independent front end:
+// Lex keys on the source, Parse adds the file name (diagnostics and
+// positions carry it), Typecheck adds nothing.
+func frontKeys(name, src string) keys {
+	var k keys
+	k.lex = artifact.NewKey("pipeline." + string(StageLex)).Str(Version(StageLex)).Str(src).Sum()
+	k.parse = stageKey(StageParse, k.lex).Str(name).Sum()
+	k.check = stageKey(StageTypecheck, k.parse).Sum()
+	return k
+}
+
+// withAnnotate adds the Annotate key, which folds every annotator option.
+// Under Elide the stage walks through Liveness first, and its key chains
+// off the liveness key so the artifact depends on both stage versions.
+func (k keys) withAnnotate(o gcsafe.Options) keys {
+	upstream := k.check
+	if o.Elide {
+		k.live = stageKey(StageLiveness, k.check).Sum()
+		upstream = k.live
+	}
+	k.annotate = stageKey(StageAnnotate, upstream).
+		Int(int64(o.Mode)).
 		Bool(o.NoCopySuppression).
 		Bool(o.NoIncDecExpansion).
 		Bool(o.BaseHeuristic).
 		Bool(o.CallSiteOnly).
 		Bool(o.StrictCastWarnings).
-		Int(int64(o.Style))
-	if o.Elide {
-		b = b.Bool(true)
-	}
-	return b
+		Int(int64(o.Style)).
+		Bool(o.Elide).
+		Sum()
+	return k
 }
 
-// MachineFields folds the code-shaping fields of a machine configuration
-// into a key: the register count and the two ISA switches, the only
-// fields codegen and the postprocessor read. The name and the cycle costs
-// stay out, so machines that differ only in cost model (the two
+// keys derives the whole chain of one build. Codegen folds the machine's
+// code-shaping fields — the register count and the two ISA switches, the
+// only fields codegen and the postprocessor read. The name and the cycle
+// costs stay out, so machines that differ only in cost model (the two
 // SPARCstations) share one program, and so can share its executions.
-func MachineFields(b *artifact.KeyBuilder, cfg machine.Config) *artifact.KeyBuilder {
-	return b.Int(int64(cfg.NumRegs)).
-		Bool(cfg.TwoOperand).
-		Bool(cfg.LoadIndexed)
+func (o Options) keys(name, src string) keys {
+	k := frontKeys(name, src)
+	front := k.check
+	if o.Annotate {
+		k = k.withAnnotate(o.AnnotateOptions)
+		front = k.annotate
+	}
+	k.codegen = stageKey(StageCodegen, front).
+		Bool(o.Optimize).
+		Bool(o.DisableReassociation).
+		Bool(o.DisableLoadFolding).
+		Int(int64(o.Machine.NumRegs)).
+		Bool(o.Machine.TwoOperand).
+		Bool(o.Machine.LoadIndexed).
+		Sum()
+	k.optimize = stageKey(StageOptimize, k.codegen).Sum()
+	if o.Post {
+		// The machine config feeding the postprocessor is already part of
+		// the Optimize key (via the Codegen key), so the chain alone keys
+		// this stage.
+		k.peephole = stageKey(StagePeephole, k.optimize).Sum()
+	}
+	return k
+}
+
+// Key returns the content key of the final stage (Optimize, or Peephole
+// under Post) of building one translation unit, without running any
+// stage. Build derives its stage keys through the same code, so a
+// Result's Key always equals it: equal keys mean equal programs.
+func (o Options) Key(name, src string) artifact.Key {
+	return o.keys(name, src).final()
+}
+
+// final is the key of the last stage the build walks.
+func (k keys) final() artifact.Key {
+	if k.peephole != "" {
+		return k.peephole
+	}
+	return k.optimize
+}
+
+// AnnotateKey returns the Annotate stage's key for one translation unit
+// without running any stage: the identity of what Runner.Annotate
+// returns for the same arguments.
+func AnnotateKey(name, src string, opts gcsafe.Options) artifact.Key {
+	return frontKeys(name, src).withAnnotate(opts).annotate
 }
 
 // frontEnd runs the treatment-independent prefix of the graph — Lex,
-// Parse, Typecheck — and returns the Typecheck artifact and its key.
-func (r *Runner) frontEnd(ctx context.Context, name, src string, rep *BuildReport) (*checked, artifact.Key, error) {
-	klex := artifact.NewKey("pipeline." + string(StageLex)).Str(Version(StageLex)).Str(src).Sum()
-	v, err := r.run(ctx, StageLex, klex, rep, func() (any, int64, error) {
+// Parse, Typecheck — and returns the Typecheck artifact.
+func (r *Runner) frontEnd(ctx context.Context, name, src string, k keys, rep *BuildReport) (*checked, error) {
+	v, err := r.run(ctx, StageLex, k.lex, rep, func() (any, int64, error) {
 		s := lexer.ScanAll(src)
 		return s, int64(len(s.Tokens))*48 + 64, nil
 	})
 	if err != nil {
-		return nil, "", &StageError{Stage: StageLex, Err: err}
+		return nil, &StageError{Stage: StageLex, Err: err}
 	}
 	scan := v.(*lexer.Scan)
 
-	kparse := stageKey(StageParse, klex).Str(name).Sum()
-	v, err = r.run(ctx, StageParse, kparse, rep, func() (any, int64, error) {
+	v, err = r.run(ctx, StageParse, k.parse, rep, func() (any, int64, error) {
 		f, err := parser.ParseTokens(name, src, scan.Replay())
 		if err != nil {
 			return nil, 0, err
@@ -129,12 +196,11 @@ func (r *Runner) frontEnd(ctx context.Context, name, src string, rep *BuildRepor
 		return f, int64(len(src))*6 + 256, nil
 	})
 	if err != nil {
-		return nil, "", &StageError{Stage: StageParse, Err: err}
+		return nil, &StageError{Stage: StageParse, Err: err}
 	}
 	file := v.(*ast.File)
 
-	kcheck := stageKey(StageTypecheck, kparse).Sum()
-	v, err = r.run(ctx, StageTypecheck, kcheck, rep, func() (any, int64, error) {
+	v, err = r.run(ctx, StageTypecheck, k.check, rep, func() (any, int64, error) {
 		ck, err := verify(file)
 		if err != nil {
 			return nil, 0, err
@@ -142,47 +208,31 @@ func (r *Runner) frontEnd(ctx context.Context, name, src string, rep *BuildRepor
 		return ck, 128, nil
 	})
 	if err != nil {
-		return nil, "", &StageError{Stage: StageTypecheck, Err: err}
+		return nil, &StageError{Stage: StageTypecheck, Err: err}
 	}
-	return v.(*checked), kcheck, nil
-}
-
-// liveness runs the Liveness stage on a checked front end: the elision
-// facts the annotator consults under Options.Elide. The analysis only
-// reads the shared AST, so no clone is needed; the facts artifact is
-// itself immutable and position-keyed, so it applies equally to the
-// Annotate stage's deep clone.
-func (r *Runner) liveness(ctx context.Context, ck *checked, kcheck artifact.Key, rep *BuildReport) (*liveness.Facts, artifact.Key, error) {
-	klive := stageKey(StageLiveness, kcheck).Sum()
-	v, err := r.run(ctx, StageLiveness, klive, rep, func() (any, int64, error) {
-		facts := liveness.Analyze(ck.file)
-		return facts, int64(facts.Units())*96 + 256, nil
-	})
-	if err != nil {
-		return nil, "", &StageError{Stage: StageLiveness, Err: err}
-	}
-	return v.(*liveness.Facts), klive, nil
+	return v.(*checked), nil
 }
 
 // annotate runs the Annotate stage on a checked front end. The compute
 // deep-clones the shared AST before the annotator mutates it, so the
 // Parse/Typecheck artifacts stay pristine for other treatments. Under
-// opts.Elide the stage first walks through Liveness, and the annotate key
-// chains off the liveness key so the artifact depends on both stage
-// versions.
-func (r *Runner) annotate(ctx context.Context, ck *checked, kcheck artifact.Key, opts gcsafe.Options, rep *BuildReport) (*annotated, artifact.Key, error) {
-	upstream := kcheck
+// opts.Elide the stage first walks through Liveness: the elision facts
+// the annotator consults. The analysis only reads the shared AST, so no
+// clone is needed; the facts artifact is itself immutable and
+// position-keyed, so it applies equally to the Annotate stage's clone.
+func (r *Runner) annotate(ctx context.Context, ck *checked, k keys, opts gcsafe.Options, rep *BuildReport) (*annotated, error) {
 	var facts *liveness.Facts
 	if opts.Elide {
-		f, klive, err := r.liveness(ctx, ck, kcheck, rep)
+		v, err := r.run(ctx, StageLiveness, k.live, rep, func() (any, int64, error) {
+			facts := liveness.Analyze(ck.file)
+			return facts, int64(facts.Units())*96 + 256, nil
+		})
 		if err != nil {
-			return nil, "", err
+			return nil, &StageError{Stage: StageLiveness, Err: err}
 		}
-		facts = f
-		upstream = klive
+		facts = v.(*liveness.Facts)
 	}
-	kann := annotateFields(stageKey(StageAnnotate, upstream), opts).Sum()
-	v, err := r.run(ctx, StageAnnotate, kann, rep, func() (any, int64, error) {
+	v, err := r.run(ctx, StageAnnotate, k.annotate, rep, func() (any, int64, error) {
 		clone := ck.file.Clone()
 		res, err := gcsafe.AnnotateWithFacts(clone, opts, facts)
 		if err != nil {
@@ -197,7 +247,7 @@ func (r *Runner) annotate(ctx context.Context, ck *checked, kcheck artifact.Key,
 		return &annotated{file: clone, res: res}, int64(len(res.Output))*8 + 512, nil
 	})
 	if err != nil {
-		return nil, "", &StageError{Stage: StageAnnotate, Err: err}
+		return nil, &StageError{Stage: StageAnnotate, Err: err}
 	}
 	a := v.(*annotated)
 	if opts.Elide && rep != nil {
@@ -210,18 +260,19 @@ func (r *Runner) annotate(ctx context.Context, ck *checked, kcheck artifact.Key,
 		st.Kept = st.Considered - st.Elided
 		rep.Elision = &st
 	}
-	return a, kann, nil
+	return a, nil
 }
 
 // Annotate runs the graph up to and including the Annotate stage — the
 // C-to-C preprocessor as a cached pipeline.
 func (r *Runner) Annotate(ctx context.Context, name, src string, opts gcsafe.Options) (*gcsafe.Result, *BuildReport, error) {
 	rep := &BuildReport{}
-	ck, kcheck, err := r.frontEnd(ctx, name, src, rep)
+	k := frontKeys(name, src).withAnnotate(opts)
+	ck, err := r.frontEnd(ctx, name, src, k, rep)
 	if err != nil {
 		return nil, rep, err
 	}
-	a, _, err := r.annotate(ctx, ck, kcheck, opts, rep)
+	a, err := r.annotate(ctx, ck, k, opts, rep)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -235,22 +286,21 @@ func (r *Runner) Annotate(ctx context.Context, name, src string, opts gcsafe.Opt
 func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Result, error) {
 	rep := &BuildReport{}
 	res := &Result{Report: rep}
+	k := opts.keys(name, src)
 
-	ck, kfront, err := r.frontEnd(ctx, name, src, rep)
+	ck, err := r.frontEnd(ctx, name, src, k, rep)
 	if err != nil {
 		return nil, err
 	}
 	file := ck.file
 	if opts.Annotate {
-		a, kann, err := r.annotate(ctx, ck, kfront, opts.AnnotateOptions, rep)
+		a, err := r.annotate(ctx, ck, k, opts.AnnotateOptions, rep)
 		if err != nil {
 			return nil, err
 		}
 		file = a.file
 		res.Annotate = a.res
-		kfront = kann
 	}
-	res.File = file
 
 	cgOpts := codegen.Options{
 		Optimize:             opts.Optimize,
@@ -258,11 +308,7 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 		DisableReassociation: opts.DisableReassociation,
 		DisableLoadFolding:   opts.DisableLoadFolding,
 	}
-	kcg := MachineFields(stageKey(StageCodegen, kfront).
-		Bool(opts.Optimize).
-		Bool(opts.DisableReassociation).
-		Bool(opts.DisableLoadFolding), opts.Machine).Sum()
-	v, err := r.run(ctx, StageCodegen, kcg, rep, func() (any, int64, error) {
+	v, err := r.run(ctx, StageCodegen, k.codegen, rep, func() (any, int64, error) {
 		ir, err := codegen.Gen(file, cgOpts)
 		if err != nil {
 			return nil, 0, err
@@ -278,8 +324,7 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 	}
 	ir := v.(*codegen.IR)
 
-	kopt := stageKey(StageOptimize, kcg).Sum()
-	v, err = r.run(ctx, StageOptimize, kopt, rep, func() (any, int64, error) {
+	v, err = r.run(ctx, StageOptimize, k.optimize, rep, func() (any, int64, error) {
 		prog := codegen.Backend(ir)
 		return prog, int64(prog.Size())*40 + int64(len(prog.Data)) + 256, nil
 	})
@@ -287,14 +332,11 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 		return nil, &StageError{Stage: StageOptimize, Err: err}
 	}
 	res.Prog = v.(*machine.Program)
-	res.Key = kopt
+	res.Key = k.final()
 
 	if opts.Post {
-		// The machine config feeding the postprocessor is already part of
-		// kopt (via the Codegen key), so the chain alone keys this stage.
-		kpeep := stageKey(StagePeephole, kopt).Sum()
 		prog := res.Prog
-		v, err = r.run(ctx, StagePeephole, kpeep, rep, func() (any, int64, error) {
+		v, err = r.run(ctx, StagePeephole, k.peephole, rep, func() (any, int64, error) {
 			q := prog.Clone()
 			st := peephole.Optimize(q, opts.Machine)
 			return &postprocessed{prog: q, stats: st}, int64(q.Size())*40 + int64(len(q.Data)) + 256, nil
@@ -304,7 +346,6 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 		}
 		p := v.(*postprocessed)
 		res.Prog = p.prog
-		res.Key = kpeep
 		st := p.stats
 		res.Peephole = &st
 	}

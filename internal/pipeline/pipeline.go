@@ -27,9 +27,7 @@ package pipeline
 
 import (
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Stage identifies one node of the compilation DAG.
@@ -107,42 +105,10 @@ func SetVersionForTest(s Stage, v string) (restore func()) {
 	versionMu.Lock()
 	old := versions[s]
 	versions[s] = v
-	fingerprint.Store(computeFingerprint())
 	versionMu.Unlock()
 	return func() {
 		versionMu.Lock()
 		versions[s] = old
-		fingerprint.Store(computeFingerprint())
 		versionMu.Unlock()
 	}
-}
-
-// fingerprint caches VersionFingerprint's digest: versions change only
-// through SetVersionForTest, while the fingerprint is read on every bench
-// cell-cache lookup — hot enough that recomputing it per call shows up in
-// the warm-table benchmarks.
-var fingerprint atomic.Value // string
-
-func init() { fingerprint.Store(computeFingerprint()) }
-
-// computeFingerprint digests the version table; callers must hold
-// versionMu (or be init).
-func computeFingerprint() string {
-	names := make([]string, 0, len(versions))
-	for s := range versions {
-		names = append(names, string(s))
-	}
-	sort.Strings(names)
-	out := ""
-	for _, n := range names {
-		out += n + "=" + versions[Stage(n)] + ";"
-	}
-	return out
-}
-
-// VersionFingerprint digests every stage version into one stable string,
-// for callers (the bench cell cache) whose own keys must change whenever
-// any stage changes.
-func VersionFingerprint() string {
-	return fingerprint.Load().(string)
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -350,18 +352,114 @@ func TestConcurrentBuildsSingleflight(t *testing.T) {
 	}
 }
 
-// TestVersionFingerprintTracksBumps: the fingerprint callers embed in
-// their own keys changes with any stage version.
-func TestVersionFingerprintTracksBumps(t *testing.T) {
-	before := VersionFingerprint()
-	restore := SetVersionForTest(StagePeephole, "v99")
-	changed := VersionFingerprint()
-	restore()
-	if before == changed {
-		t.Fatal("fingerprint did not change across a version bump")
+// TestVersionBumpChangesKey: stage versions reach every key through the
+// chain, so bumping any stage a build walks changes its final key (and
+// the Annotate key, for the stages up to Annotate), and restoring the
+// version restores the key.
+func TestVersionBumpChangesKey(t *testing.T) {
+	w := workloads.All()[0]
+	name := w.Name + ".c"
+	o := Options{Annotate: true, AnnotateOptions: gcsafe.Options{Elide: true}, Optimize: true, Post: true, Machine: machine.SPARCstation10()}
+	before, beforeAnn := o.Key(name, w.Source), AnnotateKey(name, w.Source, o.AnnotateOptions)
+	for _, st := range Stages() {
+		restore := SetVersionForTest(st, "v-test-bump")
+		bumped, bumpedAnn := o.Key(name, w.Source), AnnotateKey(name, w.Source, o.AnnotateOptions)
+		restore()
+		if bumped == before {
+			t.Errorf("%s: the final key ignores the stage's version", st)
+		}
+		if upstream := st.index() <= StageAnnotate.index(); upstream == (bumpedAnn == beforeAnn) {
+			t.Errorf("%s: Annotate key changed %v across the bump, want %v", st, bumpedAnn != beforeAnn, upstream)
+		}
 	}
-	if VersionFingerprint() != before {
-		t.Fatal("fingerprint not restored")
+	if o.Key(name, w.Source) != before {
+		t.Fatal("key not restored with the version")
+	}
+}
+
+// flipFields calls visit once per leaf field of the struct v points at,
+// recursing into nested structs, with a copy of *v in which that one
+// field has been changed. path names the field ("Machine.Costs.ALU").
+func flipFields(t *testing.T, v any, visit func(path string, flipped any)) {
+	t.Helper()
+	var walk func(prefix string, typ reflect.Type, field func(root reflect.Value) reflect.Value)
+	walk = func(prefix string, typ reflect.Type, field func(root reflect.Value) reflect.Value) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			get := func(root reflect.Value) reflect.Value { return field(root).Field(i) }
+			path := prefix + f.Name
+			if f.Type.Kind() == reflect.Struct {
+				walk(path+".", f.Type, get)
+				continue
+			}
+			root := reflect.New(reflect.TypeOf(v).Elem()).Elem()
+			root.Set(reflect.ValueOf(v).Elem())
+			fv := get(root)
+			switch fv.Kind() {
+			case reflect.Bool:
+				fv.SetBool(!fv.Bool())
+			case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+				fv.SetInt(fv.Int() + 1)
+			case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				fv.SetUint(fv.Uint() + 1)
+			case reflect.String:
+				fv.SetString(fv.String() + "x")
+			default:
+				t.Fatalf("%s: no flip for kind %s", path, fv.Kind())
+			}
+			visit(path, root.Addr().Interface())
+		}
+	}
+	walk("", reflect.TypeOf(v).Elem(), func(root reflect.Value) reflect.Value { return root })
+}
+
+// TestOptionsKeyCoversEveryField: flipping any field of Options —
+// every annotator option included — changes the build's key, except the
+// machine's name and cost model, which must not (the two SPARCstations
+// share one program). A new knob needs one field and no key code; this
+// test fails until the key folds it.
+func TestOptionsKeyCoversEveryField(t *testing.T) {
+	w := workloads.All()[0]
+	name := w.Name + ".c"
+	base := Options{Annotate: true, Optimize: true, Post: true, Machine: machine.SPARCstation10()}
+	key := base.Key(name, w.Source)
+	flipFields(t, &base, func(path string, flipped any) {
+		shared := path == "Machine.Name" || strings.HasPrefix(path, "Machine.Costs.")
+		if changed := flipped.(*Options).Key(name, w.Source) != key; changed == shared {
+			t.Errorf("flipping %s: key changed = %v, want %v", path, changed, !shared)
+		}
+	})
+	ann := AnnotateKey(name, w.Source, gcsafe.Options{})
+	flipFields(t, &gcsafe.Options{}, func(path string, flipped any) {
+		if AnnotateKey(name, w.Source, *flipped.(*gcsafe.Options)) == ann {
+			t.Errorf("flipping AnnotateOptions.%s leaves the Annotate key unchanged", path)
+		}
+	})
+	if AnnotateKey("other.c", w.Source, gcsafe.Options{}) == ann || (Options{}).Key("other.c", w.Source) == (Options{}).Key(name, w.Source) {
+		t.Error("the file name does not reach the keys, but diagnostics carry it")
+	}
+}
+
+// TestResultKeyIsOptionsKey: a build's Result.Key is the key Options.Key
+// derives without building, for every treatment on every machine.
+func TestResultKeyIsOptionsKey(t *testing.T) {
+	r := NewRunner(artifact.New(0))
+	w := workloads.All()[0]
+	name := w.Name + ".c"
+	for _, cfg := range machine.Configs() {
+		for tname, o := range treatments() {
+			o.Machine = cfg
+			for _, elide := range []bool{false, true} {
+				o.AnnotateOptions.Elide = elide
+				res, err := r.Build(context.Background(), name, w.Source, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Key != o.Key(name, w.Source) {
+					t.Errorf("%s [%s, elide %v]: Result.Key differs from Options.Key", tname, cfg.Name, elide)
+				}
+			}
+		}
 	}
 }
 

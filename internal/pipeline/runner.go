@@ -191,3 +191,16 @@ type StageError struct {
 func (e *StageError) Error() string { return string(e.Stage) + ": " + e.Err.Error() }
 
 func (e *StageError) Unwrap() error { return e.Err }
+
+// Phase names the build phase the failed stage belongs to, as error
+// messages spell it: "parse" for the front end, "annotate" for the
+// annotator, and "compile" for the rest, Liveness included.
+func (e *StageError) Phase() string {
+	switch e.Stage {
+	case StageLex, StageParse, StageTypecheck:
+		return "parse"
+	case StageAnnotate:
+		return "annotate"
+	}
+	return "compile"
+}

@@ -59,7 +59,10 @@ type AnnotateResponse struct {
 	CacheHit   bool     `json:"cache_hit"`
 }
 
-func (req *AnnotateRequest) options() (gcsafe.Options, error) {
+// resolve validates the request's options and derives the product's cache
+// key: the pipeline's Annotate stage key, under the product's own kind.
+// The stage key covers the file name, which the warnings carry.
+func (req *AnnotateRequest) resolve() (gcsafe.Options, artifact.Key, error) {
 	opts := gcsafe.Options{
 		NoCopySuppression:  req.NoCopySuppression,
 		NoIncDecExpansion:  req.NoIncDecExpansion,
@@ -75,34 +78,24 @@ func (req *AnnotateRequest) options() (gcsafe.Options, error) {
 	case "temporal":
 		opts.Mode = gcsafe.ModeTemporal
 	default:
-		return opts, errf(http.StatusBadRequest, "unknown mode %q (want safe, checked or temporal)", req.Mode)
+		return opts, "", errf(http.StatusBadRequest, "unknown mode %q (want safe, checked or temporal)", req.Mode)
 	}
 	switch req.Style {
 	case "", "macro":
 	case "asm":
 		opts.Style = gcsafe.EmitAsm
 	default:
-		return opts, errf(http.StatusBadRequest, "unknown style %q (want macro or asm)", req.Style)
+		return opts, "", errf(http.StatusBadRequest, "unknown style %q (want macro or asm)", req.Style)
 	}
-	return opts, nil
+	return opts, artifact.NewKey("annotate").Str(string(pipeline.AnnotateKey(unitName(req.Name), req.Source, opts))).Sum(), nil
 }
 
-func annotateKey(src string, opts gcsafe.Options) artifact.Key {
-	k := artifact.NewKey("annotate").
-		Str(src).
-		Int(int64(opts.Mode)).
-		Bool(opts.NoCopySuppression).
-		Bool(opts.NoIncDecExpansion).
-		Bool(opts.BaseHeuristic).
-		Bool(opts.CallSiteOnly).
-		Bool(opts.StrictCastWarnings).
-		Int(int64(opts.Style))
-	// Elide folds in only when set, so pre-elision keys stay byte-stable
-	// (warm disk tiers keep serving the classic treatments).
-	if opts.Elide {
-		k = k.Bool(true)
+// unitName is a request's translation-unit name: its own, or "input.c".
+func unitName(name string) string {
+	if name == "" {
+		return "input.c"
 	}
-	return k.Sum()
+	return name
 }
 
 // annotated is the cached product of one annotator execution. size is
@@ -134,39 +127,34 @@ func stageBuildError(err error) error {
 	if errors.Is(se.Err, faultinject.ErrInjected) {
 		return errf(http.StatusInternalServerError, "%v", se.Err)
 	}
-	switch se.Stage {
-	case pipeline.StageLex, pipeline.StageParse, pipeline.StageTypecheck:
-		return errf(http.StatusUnprocessableEntity, "parse: %v", se.Err)
-	case pipeline.StageAnnotate:
-		return errf(http.StatusUnprocessableEntity, "annotate: %v", se.Err)
-	default:
-		return errf(http.StatusUnprocessableEntity, "compile: %v", se.Err)
-	}
+	return errf(http.StatusUnprocessableEntity, "%s: %v", se.Phase(), se.Err)
 }
 
 // annotate runs the preprocessor through the artifact cache. The outer
-// whole-product entry keyed by annotateKey is what the disk tier
-// persists and the stampede guarantee counts; beneath it the stage
+// whole-product entry keyed by AnnotateRequest.resolve is what the disk
+// tier persists and the stampede guarantee counts; beneath it the stage
 // runner shares Lex/Parse/Typecheck with every other endpoint that saw
 // the same source.
-func (s *Server) annotate(ctx context.Context, name, src string, opts gcsafe.Options) (*annotated, bool, error) {
-	if name == "" {
-		name = "input.c"
+func (s *Server) annotate(ctx context.Context, req *AnnotateRequest) (*annotated, bool, error) {
+	opts, key, err := req.resolve()
+	if err != nil {
+		return nil, false, err
 	}
-	key := annotateKey(src, opts)
+	src := req.Source
 	v, hit, err := s.cache.GetOrCompute(ctx, key, func() (any, int64, error) {
 		// Local memory and disk both missed. Before computing, try the
 		// cluster rung of the ladder: the key's owning peer get-or-computes
-		// it once for the whole cluster. Any peer failure falls through to
-		// a local compute — availability over dedup.
-		if pv, psize, ok := s.peerFetch(ctx, key, familyAnnotate, annotateRecipe(name, src, opts)); ok {
+		// it once for the whole cluster, from the request as its recipe.
+		// Any peer failure falls through to a local compute — availability
+		// over dedup.
+		if pv, psize, ok := s.peerFetch(ctx, key, familyAnnotate, req); ok {
 			return pv, psize, nil
 		}
 		// annotations counts true local annotator executions only (not
 		// artifacts fetched from peers), so summing the counter across a
 		// cluster measures how many times the work was really done.
 		s.annotations.Add(1)
-		res, _, err := s.pipeline.Annotate(ctx, name, src, opts)
+		res, _, err := s.pipeline.Annotate(ctx, unitName(req.Name), src, opts)
 		if err != nil {
 			var se *pipeline.StageError
 			if errors.As(err, &se) {
@@ -209,11 +197,7 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	opts, err := req.options()
-	if err != nil {
-		return err
-	}
-	a, hit, err := s.annotate(r.Context(), req.Name, req.Source, opts)
+	a, hit, err := s.annotate(r.Context(), &req)
 	if err != nil {
 		return err
 	}
@@ -250,8 +234,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	a, hit, err := s.annotate(r.Context(), req.Name, req.Source,
-		gcsafe.Options{StrictCastWarnings: true})
+	a, hit, err := s.annotate(r.Context(), &AnnotateRequest{Name: req.Name, Source: req.Source, StrictCasts: true})
 	if err != nil {
 		return err
 	}
@@ -300,68 +283,52 @@ type compiled struct {
 	accounted int64
 }
 
-func compileKey(src string, ann fuzz.Annotation, optimize, post, elide bool, cfg machine.Config) artifact.Key {
-	k := artifact.NewKey("compile").
-		Str(src).
-		Int(int64(ann)).
-		Bool(optimize).
-		Bool(post).
-		Str(cfg.Name)
-	// Elide folds in only when set (key stability for the classic cells).
-	if elide {
-		k = k.Bool(true)
+// resolve validates the request's treatment, spells it as pipeline
+// options, and derives the product's cache key: the pipeline's final
+// stage key, under the product's own kind. Machines that differ only in
+// cost model (ss2 and ss10) share one product, as they share one program.
+func (req *CompileRequest) resolve() (pipeline.Options, artifact.Key, error) {
+	opts := pipeline.Options{Optimize: req.Optimize, Post: req.Post}
+	opts.AnnotateOptions.Elide = req.Elide
+	cfg, err := machineByName(req.Machine)
+	if err != nil {
+		return opts, "", err
 	}
-	return k.Sum()
-}
-
-func annotationByName(name string) (fuzz.Annotation, error) {
-	switch name {
+	opts.Machine = cfg
+	switch req.Annotate {
 	case "", "none":
-		return fuzz.AnnotateNone, nil
 	case "safe":
-		return fuzz.AnnotateSafe, nil
+		opts.Annotate = true
 	case "checked":
-		return fuzz.AnnotateChecked, nil
+		opts.Annotate = true
+		opts.AnnotateOptions.Mode = gcsafe.ModeChecked
 	case "temporal":
-		return fuzz.AnnotateTemporal, nil
+		opts.Annotate = true
+		opts.AnnotateOptions.Mode = gcsafe.ModeTemporal
+	default:
+		return opts, "", errf(http.StatusBadRequest, "unknown annotate %q (want none, safe, checked or temporal)", req.Annotate)
 	}
-	return 0, errf(http.StatusBadRequest, "unknown annotate %q (want none, safe, checked or temporal)", name)
+	return opts, artifact.NewKey("compile").Str(string(opts.Key(unitName(req.Name), req.Source))).Sum(), nil
 }
 
 // compile builds one treatment cell through the artifact cache: the
-// whole-product entry keyed by compileKey preserves the pre-pipeline
-// stampede guarantee (one compile per distinct cell under arbitrary
-// concurrency) and the disk-tier restart story, while the stage runner
-// beneath it shares the front end and intermediate artifacts across
-// cells that differ only in annotation, machine, opt level or peephole
-// flag.
-func (s *Server) compile(ctx context.Context, name, src string, ann fuzz.Annotation, optimize, post, elide bool, cfg machine.Config) (*compiled, bool, error) {
-	if name == "" {
-		name = "input.c"
-	}
-	key := compileKey(src, ann, optimize, post, elide, cfg)
+// whole-product entry under key (CompileRequest.resolve) preserves the
+// pre-pipeline stampede guarantee (one compile per distinct cell under
+// arbitrary concurrency) and the disk-tier restart story, while the stage
+// runner beneath it shares the front end and intermediate artifacts
+// across cells that differ only in annotation, machine, opt level or
+// peephole flag.
+func (s *Server) compile(ctx context.Context, req *CompileRequest, opts pipeline.Options, key artifact.Key) (*compiled, bool, error) {
 	v, hit, err := s.cache.GetOrCompute(ctx, key, func() (any, int64, error) {
 		// The cluster rung: ask the owning peer before running codegen
 		// locally (see annotate for the ladder rationale).
-		if pv, psize, ok := s.peerFetch(ctx, key, familyCompile, compileRecipe(name, src, ann, optimize, post, elide, cfg)); ok {
+		if pv, psize, ok := s.peerFetch(ctx, key, familyCompile, req); ok {
 			return pv, psize, nil
 		}
 		// compiles counts true local compiler executions only — the
 		// cluster-wide dedup gate is stated in terms of this counter.
 		s.compiles.Add(1)
-		opts := pipeline.Options{Optimize: optimize, Post: post, Machine: cfg}
-		opts.AnnotateOptions.Elide = elide
-		switch ann {
-		case fuzz.AnnotateSafe:
-			opts.Annotate = true
-		case fuzz.AnnotateChecked:
-			opts.Annotate = true
-			opts.AnnotateOptions.Mode = gcsafe.ModeChecked
-		case fuzz.AnnotateTemporal:
-			opts.Annotate = true
-			opts.AnnotateOptions.Mode = gcsafe.ModeTemporal
-		}
-		res, err := s.pipeline.Build(ctx, name, src, opts)
+		res, err := s.pipeline.Build(ctx, unitName(req.Name), req.Source, opts)
 		if err != nil {
 			return nil, 0, stageBuildError(err)
 		}
@@ -384,19 +351,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	cfg, err := machineByName(req.Machine)
+	opts, key, err := req.resolve()
 	if err != nil {
 		return err
 	}
-	ann, err := annotationByName(req.Annotate)
+	c, hit, err := s.compile(r.Context(), &req, opts, key)
 	if err != nil {
 		return err
 	}
-	c, hit, err := s.compile(r.Context(), req.Name, req.Source, ann, req.Optimize, req.Post, req.Elide, cfg)
-	if err != nil {
-		return err
-	}
-	resp := CompileResponse{Size: c.size, Machine: cfg.Name, CacheHit: hit}
+	resp := CompileResponse{Size: c.size, Machine: opts.Machine.Name, CacheHit: hit}
 	if req.Listing {
 		resp.Listing = c.prog.Listing()
 	}
@@ -459,11 +422,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	cfg, err := machineByName(req.Machine)
-	if err != nil {
-		return err
-	}
-	ann, err := annotationByName(req.Annotate)
+	opts, key, err := req.resolve()
 	if err != nil {
 		return err
 	}
@@ -473,30 +432,13 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	if req.Threads < 0 || req.Threads > maxRunThreads {
 		return errf(http.StatusBadRequest, "threads %d out of range (max %d)", req.Threads, maxRunThreads)
 	}
-	c, hit, err := s.compile(r.Context(), req.Name, req.Source, ann, req.Optimize, req.Post, req.Elide, cfg)
+	c, hit, err := s.compile(r.Context(), &req.CompileRequest, opts, key)
 	if err != nil {
 		return err
 	}
 	ctx, cancel := s.runContext(r.Context(), req.TimeoutMs)
 	defer cancel()
-	steps := s.cfg.MaxSteps
-	if req.MaxSteps > 0 && req.MaxSteps < steps {
-		steps = req.MaxSteps
-	}
-	res, runErr := interp.RunContext(ctx, c.prog, interp.Options{
-		Config:              cfg,
-		Input:               req.Input,
-		GCEveryInstrs:       req.GCEvery,
-		CollectAtEveryAlloc: req.CollectAtEveryAlloc,
-		Validate:            req.Validate,
-		Temporal:            req.Temporal,
-		Threads:             req.Threads,
-		SchedSeed:           req.SchedSeed,
-		CollectAtSwitch:     req.CollectAtSwitch,
-		BaseOnlyHeap:        req.BaseOnly,
-		MaxInstrs:           steps,
-		Faults:              faultinject.FromContext(r.Context()),
-	})
+	res, runErr := interp.RunContext(ctx, c.prog, s.runOptions(r.Context(), &req, opts.Machine))
 	if runErr != nil && (errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)) {
 		return runErr
 	}
@@ -518,6 +460,30 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil
+}
+
+// runOptions spells a run request's execution knobs as executor options
+// on cfg, with the step limit clamped to the server ceiling and the
+// request's injected faults (ctx) armed.
+func (s *Server) runOptions(ctx context.Context, req *RunRequest, cfg machine.Config) interp.Options {
+	steps := s.cfg.MaxSteps
+	if req.MaxSteps > 0 && req.MaxSteps < steps {
+		steps = req.MaxSteps
+	}
+	return interp.Options{
+		Config:              cfg,
+		Input:               req.Input,
+		GCEveryInstrs:       req.GCEvery,
+		CollectAtEveryAlloc: req.CollectAtEveryAlloc,
+		Validate:            req.Validate,
+		Temporal:            req.Temporal,
+		Threads:             req.Threads,
+		SchedSeed:           req.SchedSeed,
+		CollectAtSwitch:     req.CollectAtSwitch,
+		BaseOnlyHeap:        req.BaseOnly,
+		MaxInstrs:           steps,
+		Faults:              faultinject.FromContext(ctx),
+	}
 }
 
 // runContext derives the execution context: the request's own context,

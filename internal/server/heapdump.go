@@ -8,11 +8,8 @@ import (
 	"time"
 
 	"gcsafety/internal/artifact"
-	"gcsafety/internal/faultinject"
-	"gcsafety/internal/fuzz"
 	"gcsafety/internal/heapdump"
 	"gcsafety/internal/interp"
-	"gcsafety/internal/machine"
 )
 
 // HeapdumpRequest compiles and executes a program with allocation-site
@@ -41,44 +38,12 @@ type HeapdumpResponse struct {
 	CacheHit    bool               `json:"cache_hit"`
 }
 
-// heapdumpKey is the snapshot's cache identity: execution is
-// deterministic, so (program identity, every treatment knob, the object
-// bound) fully determines the snapshot.
-func heapdumpKey(req *HeapdumpRequest, ann fuzz.Annotation, cfg machine.Config, maxObjects int, maxSteps uint64) artifact.Key {
-	k := artifact.NewKey("heapdump").
-		Str(req.Source).
-		Int(int64(ann)).
-		Bool(req.Optimize).
-		Bool(req.Post).
-		Str(cfg.Name).
-		Str(req.Input).
-		Int(int64(req.GCEvery)).
-		Bool(req.CollectAtEveryAlloc).
-		Bool(req.Validate).
-		Bool(req.Temporal).
-		Int(int64(req.Threads)).
-		Int(int64(req.SchedSeed)).
-		Bool(req.CollectAtSwitch).
-		Bool(req.BaseOnly).
-		Int(int64(maxSteps)).
-		Int(int64(maxObjects))
-	// Elide folds in only when set (key stability for the classic cells).
-	if req.Elide {
-		k = k.Bool(true)
-	}
-	return k.Sum()
-}
-
 func (s *Server) handleHeapdump(w http.ResponseWriter, r *http.Request) error {
 	var req HeapdumpRequest
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	cfg, err := machineByName(req.Machine)
-	if err != nil {
-		return err
-	}
-	ann, err := annotationByName(req.Annotate)
+	opts, ckey, err := req.resolve()
 	if err != nil {
 		return err
 	}
@@ -89,33 +54,19 @@ func (s *Server) handleHeapdump(w http.ResponseWriter, r *http.Request) error {
 	if req.MaxObjects > 0 && req.MaxObjects < maxObjects {
 		maxObjects = req.MaxObjects
 	}
-	steps := s.cfg.MaxSteps
-	if req.MaxSteps > 0 && req.MaxSteps < steps {
-		steps = req.MaxSteps
-	}
-	c, _, err := s.compile(r.Context(), req.Name, req.Source, ann, req.Optimize, req.Post, req.Elide, cfg)
+	c, _, err := s.compile(r.Context(), &req.CompileRequest, opts, ckey)
 	if err != nil {
 		return err
 	}
 	ctx, cancel := s.runContext(r.Context(), req.TimeoutMs)
 	defer cancel()
-	key := heapdumpKey(&req, ann, cfg, maxObjects, steps)
+	run := s.runOptions(r.Context(), &req.RunRequest, opts.Machine)
+	run.HeapProfile = true
+	// Execution is deterministic, so the program, the run options and the
+	// object bound fully determine the snapshot.
+	key := artifact.NewKey("heapdump").Str(string(run.Key(ckey))).Int(int64(maxObjects)).Sum()
 	v, hit, err := s.cache.GetOrCompute(ctx, key, func() (any, int64, error) {
-		res, runErr := interp.RunContext(ctx, c.prog, interp.Options{
-			Config:              cfg,
-			Input:               req.Input,
-			GCEveryInstrs:       req.GCEvery,
-			CollectAtEveryAlloc: req.CollectAtEveryAlloc,
-			Validate:            req.Validate,
-			Temporal:            req.Temporal,
-			Threads:             req.Threads,
-			SchedSeed:           req.SchedSeed,
-			CollectAtSwitch:     req.CollectAtSwitch,
-			BaseOnlyHeap:        req.BaseOnly,
-			MaxInstrs:           steps,
-			HeapProfile:         true,
-			Faults:              faultinject.FromContext(r.Context()),
-		})
+		res, runErr := interp.RunContext(ctx, c.prog, run)
 		if runErr != nil && (errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)) {
 			return nil, 0, runErr
 		}

@@ -491,15 +491,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, snap)
 }
 
-// machineByName maps the wire names to machine configurations.
+// machineByName maps a request's machine name to its configuration; ""
+// selects the SPARCstation 10.
 func machineByName(name string) (machine.Config, error) {
-	switch name {
-	case "", "ss10":
-		return machine.SPARCstation10(), nil
-	case "ss2":
-		return machine.SPARCstation2(), nil
-	case "p90":
-		return machine.Pentium90(), nil
+	if name == "" {
+		name = "ss10"
+	}
+	if cfg, ok := machine.ByName(name); ok {
+		return cfg, nil
 	}
 	return machine.Config{}, errf(http.StatusBadRequest, "unknown machine %q (want ss2, ss10 or p90)", name)
 }
