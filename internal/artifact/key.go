@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"hash"
 )
 
 // A Key names one cache entry: the hex form of a SHA-256 digest over every
@@ -17,60 +16,51 @@ type Key string
 // KeyBuilder accumulates the inputs of a content-addressed key. Every
 // field is written length-prefixed (and bools/ints in fixed-width binary),
 // so distinct field sequences can never produce the same digest by
-// concatenation tricks ("ab"+"c" vs "a"+"bc").
+// concatenation tricks ("ab"+"c" vs "a"+"bc"). The fields collect in one
+// buffer that Sum digests at once: writing each field through a hash
+// interface would allocate a copy of it.
 type KeyBuilder struct {
-	h hash.Hash
+	buf []byte
 }
 
 // NewKey starts a key for one artifact kind. The kind participates in the
 // digest, so e.g. an "annotate" and a "compile" artifact of identical
 // inputs occupy distinct entries.
 func NewKey(kind string) *KeyBuilder {
-	b := &KeyBuilder{h: sha256.New()}
-	b.Str(kind)
-	return b
-}
-
-func (b *KeyBuilder) writeLen(n int) {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(n))
-	b.h.Write(buf[:])
+	b := &KeyBuilder{buf: make([]byte, 0, 256)}
+	return b.Str(kind)
 }
 
 // Str appends one string field.
 func (b *KeyBuilder) Str(s string) *KeyBuilder {
-	b.writeLen(len(s))
-	b.h.Write([]byte(s))
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, uint64(len(s)))
+	b.buf = append(b.buf, s...)
 	return b
 }
 
 // Bool appends one boolean field.
 func (b *KeyBuilder) Bool(v bool) *KeyBuilder {
 	if v {
-		b.h.Write([]byte{1})
+		b.buf = append(b.buf, 1)
 	} else {
-		b.h.Write([]byte{0})
+		b.buf = append(b.buf, 0)
 	}
 	return b
 }
 
 // Int appends one integer field in fixed-width binary.
 func (b *KeyBuilder) Int(v int64) *KeyBuilder {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], uint64(v))
-	b.h.Write(buf[:])
-	return b
+	return b.Uint(uint64(v))
 }
 
 // Uint appends one unsigned integer field in fixed-width binary.
 func (b *KeyBuilder) Uint(v uint64) *KeyBuilder {
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	b.h.Write(buf[:])
+	b.buf = binary.LittleEndian.AppendUint64(b.buf, v)
 	return b
 }
 
 // Sum finalizes the key.
 func (b *KeyBuilder) Sum() Key {
-	return Key(hex.EncodeToString(b.h.Sum(nil)))
+	sum := sha256.Sum256(b.buf)
+	return Key(hex.EncodeToString(sum[:]))
 }
