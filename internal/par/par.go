@@ -55,17 +55,15 @@ func ForEach(width, n int, f func(i int)) {
 		next     atomic.Int64
 		wg       sync.WaitGroup
 		panicked atomic.Bool
-		once     sync.Once
-		value    any
+		value    any // the first panic, read after wg.Wait
 	)
 	wg.Add(width)
 	for w := 0; w < width; w++ {
 		go func() {
 			defer wg.Done()
 			defer func() {
-				if r := recover(); r != nil {
-					once.Do(func() { value = r })
-					panicked.Store(true)
+				if r := recover(); r != nil && panicked.CompareAndSwap(false, true) {
+					value = r
 				}
 			}()
 			for !panicked.Load() {
