@@ -168,6 +168,34 @@ func TestClusterCompilesOnceAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestClusterAnnotatesElidedOnOwner: the annotate recipe carries every
+// option, elide included, so the owner recomputes the requested key and
+// annotates once for the cluster instead of refusing the recipe.
+func TestClusterAnnotatesElidedOnOwner(t *testing.T) {
+	nodes := startPeerCluster(t, 2)
+	var req *AnnotateRequest
+	for i := 0; i < 1000 && req == nil; i++ {
+		r := &AnnotateRequest{Source: fmt.Sprintf("int f(char *p) { return p[%d]; }", i), Elide: true}
+		_, key, err := r.resolve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ownerOf(t, nodes, key) == 1 {
+			req = r
+		}
+	}
+	if req == nil {
+		t.Fatal("no elided annotate key owned by node 1")
+	}
+	var resp AnnotateResponse
+	if code := nodes[0].post(t, "/v1/annotate", req, &resp); code != http.StatusOK {
+		t.Fatalf("annotate: status %d", code)
+	}
+	if a0, a1 := nodes[0].srv.annotations.Load(), nodes[1].srv.annotations.Load(); a0 != 0 || a1 != 1 {
+		t.Fatalf("annotations: requester %d, owner %d; want 0 and 1", a0, a1)
+	}
+}
+
 func TestClusterFallsBackWhenOwnerDies(t *testing.T) {
 	nodes := startPeerCluster(t, 3)
 	src, key := compileSrcOwnedBy(t, nodes, 1)
