@@ -104,8 +104,8 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) error {
 		return err
 	}
 	ctx := noForward(r.Context())
+	key := artifact.Key(req.Key)
 	var (
-		key artifact.Key
 		v   any
 		hit bool
 	)
@@ -119,8 +119,8 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) error {
 		if err != nil {
 			return err
 		}
-		if key = ak; string(key) != req.Key {
-			return errf(http.StatusBadRequest, "recipe hashes to %s, request says %s", key, req.Key)
+		if ak != key {
+			return errf(http.StatusBadRequest, "recipe hashes to %s, request says %s", ak, req.Key)
 		}
 		a, h, err := s.annotate(ctx, &ar)
 		if err != nil {
@@ -136,8 +136,8 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) error {
 		if err != nil {
 			return err
 		}
-		if key = ck; string(key) != req.Key {
-			return errf(http.StatusBadRequest, "recipe hashes to %s, request says %s", key, req.Key)
+		if ck != key {
+			return errf(http.StatusBadRequest, "recipe hashes to %s, request says %s", ck, req.Key)
 		}
 		c, h, err := s.compile(ctx, &cr, opts, key)
 		if err != nil {
