@@ -17,6 +17,7 @@ package artifact
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 )
 
@@ -148,8 +149,10 @@ func (c *Cache) Get(key Key) (any, bool) {
 //
 // Errors are not cached: a failed computation is reported to the leader
 // and to every follower that was already waiting on it, and the next
-// caller recomputes. hit reports whether this caller avoided computing —
-// a stored entry or a shared in-flight result both count.
+// caller recomputes. A context error is the leader's own, not the
+// computation's: a follower whose ctx is still live computes again
+// rather than share it. hit reports whether this caller avoided
+// computing — a stored entry or a shared in-flight result both count.
 func (c *Cache) GetOrCompute(ctx context.Context, key Key, compute func() (any, int64, error)) (val any, hit bool, err error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
@@ -163,10 +166,13 @@ func (c *Cache) GetOrCompute(ctx context.Context, key Key, compute func() (any, 
 		c.mu.Unlock()
 		select {
 		case <-cl.done:
-			return cl.val, true, cl.err
 		case <-ctx.Done():
 			return nil, false, ctx.Err()
 		}
+		if ctx.Err() == nil && (errors.Is(cl.err, context.Canceled) || errors.Is(cl.err, context.DeadlineExceeded)) {
+			return c.GetOrCompute(ctx, key, compute)
+		}
+		return cl.val, true, cl.err
 	}
 	cl := &call{done: make(chan struct{})}
 	c.inflight[key] = cl

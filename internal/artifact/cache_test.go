@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -163,4 +164,50 @@ func TestFollowerCancellation(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	close(release)
+}
+
+// TestFollowerRecomputesAfterLeaderCancel: a leader whose own context
+// ends hands its waiters a context error, not a result; a waiter whose
+// context is still live must compute the value itself.
+func TestFollowerRecomputesAfterLeaderCancel(t *testing.T) {
+	c := New(1 << 20)
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderIn := make(chan struct{})
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, _, err := c.GetOrCompute(leaderCtx, "k", func() (any, int64, error) {
+			close(leaderIn)
+			<-leaderCtx.Done()
+			return nil, 0, leaderCtx.Err()
+		})
+		leaderErr <- err
+	}()
+	<-leaderIn
+	type outcome struct {
+		v   any
+		hit bool
+		err error
+	}
+	follower := make(chan outcome, 1)
+	go func() {
+		v, hit, err := c.GetOrCompute(context.Background(), "k", func() (any, int64, error) {
+			return "v", 1, nil
+		})
+		follower <- outcome{v, hit, err}
+	}()
+	// A follower counts its hit when it joins the in-flight call.
+	for c.Stats().Hits == 0 {
+		runtime.Gosched()
+	}
+	cancelLeader()
+	if err := <-leaderErr; !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want context.Canceled", err)
+	}
+	got := <-follower
+	if got.err != nil || got.v != "v" {
+		t.Fatalf("follower got v=%v err=%v, want the value it computed", got.v, got.err)
+	}
+	if v, ok := c.Get("k"); !ok || v != "v" {
+		t.Fatalf("recomputed value not cached: %v %v", v, ok)
+	}
 }

@@ -1,6 +1,8 @@
 package artifact
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"sync"
 )
@@ -78,4 +80,19 @@ func (r *CodecRegistry) decode(kind string, data []byte) (any, int64, error) {
 		return nil, 0, fmt.Errorf("unknown artifact kind %q", kind)
 	}
 	return c.Decode(data)
+}
+
+// GobBytes is the gob encoding of v for a Codec's Encode; ok is false
+// when v does not encode.
+func GobBytes(v any) ([]byte, bool) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, false
+	}
+	return buf.Bytes(), true
+}
+
+// GobDecode reverses GobBytes into v.
+func GobDecode(data []byte, v any) error {
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }

@@ -93,15 +93,14 @@ type Measurement struct {
 // computed once, no matter how many tables ask for it. Before this cache
 // each table recompiled (and re-ran) its baseline and repeated cells from
 // scratch; see EXPERIMENTS.md ("Artifact-cache speedup") for the measured
-// effect. The cells' executions (execute) live here too, under their own
-// keys. Unbounded: the cell space is the small finite treatment matrix.
+// effect. Unbounded: the cell space is the small finite treatment matrix.
 var cells = artifact.New(0)
 
-// pipe is the stage-graph pipeline behind every cell build. Cells cache
-// whole Measurements; the pipeline underneath additionally shares the
-// per-stage artifacts between cells, so the 3 tables x 4 treatments x 3
-// machines of a full MeasureAll lex, parse and typecheck each workload
-// exactly once.
+// pipe is the stage-graph pipeline behind every cell build and run.
+// Cells cache whole Measurements; the pipeline underneath additionally
+// shares the per-stage artifacts between cells, so the 3 tables x 4
+// treatments x 3 machines of a full MeasureAll lex, parse and typecheck
+// each workload exactly once, and run each program once per cost model.
 var pipe = pipeline.NewRunner(artifact.New(0))
 
 // cellCompiles counts the cells actually built and run (cache misses).
@@ -127,8 +126,7 @@ func ResetCache() {
 }
 
 // options spells one cell as the pipeline's build options and the
-// executor's run options: the two halves every cell and execution key
-// derives from.
+// executor's run options: the two halves every cell key derives from.
 func options(w workloads.Workload, tr Treatment, cfg machine.Config) (pipeline.Options, interp.Options) {
 	ann := gcsafe.Options{}
 	if tr.Gcsafe != nil {
@@ -155,7 +153,7 @@ func options(w workloads.Workload, tr Treatment, cfg machine.Config) (pipeline.O
 		Temporal:    tr.Temporal,
 		Threads:     tr.Threads,
 		SchedSeed:   tr.SchedSeed,
-		HeapProfile: profiled(tr),
+		HeapProfile: profiled(tr, cfg),
 	}
 	return build, run
 }
@@ -188,36 +186,35 @@ func Measure(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measureme
 	return v.(*Measurement), nil
 }
 
-// measureCell builds one cell, executes it and prices the execution on
-// the cell's machine. The build and the execution are both shared: the
-// pipeline caches the program, and execute runs it once for every cell
-// that differs only in cost model.
+// measureCell builds one cell and executes it, priced on the cell's
+// machine.
 func measureCell(w workloads.Workload, tr Treatment, cfg machine.Config) (*Measurement, error) {
-	b, x, err := buildAndExecute(w, tr, cfg)
-	if err != nil {
+	b, res, err := execute(w, tr, cfg)
+	if b == nil {
 		return nil, err
 	}
 	m := &Measurement{Size: b.Prog.Size()}
-	if x.err != nil {
-		if _, ok := findCheckError(x.err); ok {
-			m.CheckFailed = true
-			return m, nil
-		}
-		return nil, fmt.Errorf("%s [%s]: %w", w.Name, tr.Name, x.err)
+	var ce *interp.CheckError
+	if errors.As(err, &ce) {
+		m.CheckFailed = true
+		return m, nil
 	}
-	m.Cycles = x.res.Price(cfg)
-	m.Instrs = x.res.Instrs
-	m.Output = x.res.Output
-	m.Collections = x.res.GCStats.Collections
-	if w.Want != "" && x.res.Output != w.Want {
+	if err != nil {
+		return nil, fmt.Errorf("%s [%s]: %w", w.Name, tr.Name, err)
+	}
+	m.Cycles = res.Cycles
+	m.Instrs = res.Instrs
+	m.Output = res.Output
+	m.Collections = res.GCStats.Collections
+	if w.Want != "" && res.Output != w.Want {
 		return nil, fmt.Errorf("%s [%s]: wrong output", w.Name, tr.Name)
 	}
 	return m, nil
 }
 
-// buildAndExecute builds one cell's program on the stage-graph pipeline
-// and executes it.
-func buildAndExecute(w workloads.Workload, tr Treatment, cfg machine.Config) (*pipeline.Result, *execution, error) {
+// execute builds and runs one cell on the pipeline, priced on cfg. A nil
+// build result means the build failed; otherwise the error is the run's.
+func execute(w workloads.Workload, tr Treatment, cfg machine.Config) (*pipeline.Result, *interp.Result, error) {
 	build, run := options(w, tr, cfg)
 	b, err := pipe.Build(context.Background(), w.Name+".c", w.Source, build)
 	if err != nil {
@@ -227,69 +224,34 @@ func buildAndExecute(w workloads.Workload, tr Treatment, cfg machine.Config) (*p
 		}
 		return nil, nil, fmt.Errorf("%s: %w", w.Name, err)
 	}
-	x, err := execute(b, run)
-	if err != nil {
-		return nil, nil, err
-	}
-	return b, x, nil
+	res, _, err := pipe.Execute(context.Background(), b.Prog, b.Key, run)
+	return b, res, err
 }
 
-// execution is one distinct run of a compiled program: its result or its
-// error, and for the optimized baseline the retained bytes at exit.
-type execution struct {
-	res      *interp.Result // nil when err is set; Snapshot dropped
-	err      error
-	retained uint64
-}
-
-// profiled reports whether a cell's execution is the unannotated
-// optimized baseline, whose run also measures the retained-at-exit column
-// (MeasureRetained).
-func profiled(tr Treatment) bool {
-	return tr.Optimize && !tr.Annotate && !tr.Post && !tr.Temporal && tr.Threads <= 1
-}
-
-// execute runs a built program once per distinct execution, keyed on the
-// program's stage key, never on the program pointer, plus the run
-// options. The run never reads the cost model, so cells that differ only
-// in it — the same treatment on the SPARCstation 2 and 10 — share one
-// execution and each prices it with its own machine. The outcome, error
-// included, is cached as the value, so a run that fails the same way for
-// every sharer runs once.
-func execute(b *pipeline.Result, run interp.Options) (*execution, error) {
-	v, _, err := cells.GetOrCompute(context.Background(), run.Key(b.Key), func() (any, int64, error) {
-		res, err := interp.Run(b.Prog, run)
-		if err != nil {
-			return &execution{err: err}, 128, nil
-		}
-		x := &execution{res: res, retained: retainedAtExit(res.Snapshot)}
-		res.Snapshot = nil
-		return x, int64(len(res.Output)+8*machine.NumOps) + 256, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*execution), nil
+// profiled reports whether a cell's execution is the one MeasureRetained
+// reads: the unannotated optimized baseline on the SPARCstations, which
+// share one run. The pipeline keeps a run's snapshot with it, so the
+// Pentium 90 baseline, whose snapshot nothing reads, runs unprofiled.
+func profiled(tr Treatment, cfg machine.Config) bool {
+	return tr.Optimize && !tr.Annotate && !tr.Post && !tr.Temporal && tr.Threads <= 1 &&
+		cfg.Name != machine.Pentium90().Name
 }
 
 // MeasureRetained returns the total retained size of the live heap at the
 // workload's exit — the sum over the dominator tree's root-dominated
 // objects of an end-of-run heapdump snapshot — measured on the optimized
 // baseline build (treatments change code, not the workload's data
-// structures). The baseline's execution always runs with the
-// allocation-site profiler and keeps this count, so reading it costs no
-// run of its own once the workload's -O cell is measured. The exit heap
-// does not depend on the cost model; it is read on the canonical
-// SPARCstation 10, whose execution the SPARCstation 2 shares.
+// structures). The baseline's execution on the SPARCstations runs with
+// the allocation-site profiler, and the pipeline keeps its snapshot, so
+// reading it costs no run of its own once the workload's -O cell is
+// measured on either of them. The exit heap does not depend on the cost
+// model; it is read on the canonical SPARCstation 10.
 func MeasureRetained(w workloads.Workload) (uint64, error) {
-	_, x, err := buildAndExecute(w, Opt, machine.SPARCstation10())
+	_, res, err := execute(w, Opt, machine.SPARCstation10())
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("%s [retained]: %w", w.Name, err)
 	}
-	if x.err != nil {
-		return 0, fmt.Errorf("%s [retained]: %w", w.Name, x.err)
-	}
-	return x.retained, nil
+	return retainedAtExit(res.Snapshot), nil
 }
 
 // retainedAtExit sums the retained sizes of the root-dominated objects of
@@ -307,20 +269,6 @@ func retainedAtExit(s *heapdump.Snapshot) uint64 {
 		}
 	}
 	return sum
-}
-
-func findCheckError(err error) (*interp.CheckError, bool) {
-	for err != nil {
-		if ce, ok := err.(*interp.CheckError); ok {
-			return ce, true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return nil, false
-		}
-		err = u.Unwrap()
-	}
-	return nil, false
 }
 
 // Cell is one formatted table entry.

@@ -87,8 +87,8 @@ const (
 	// build at exactly that stage boundary (never corrupting a cached
 	// artifact — stage errors are not cached), sleep delays it. One point
 	// per stage of the Lex → Parse → Typecheck → Liveness → Annotate →
-	// Codegen → Optimize → Peephole graph (Liveness only runs for elided
-	// treatments).
+	// Codegen → Optimize → Peephole → Execute graph (Liveness only runs
+	// for elided treatments; at Execute, an error fails the run).
 	PointPipelineLex       = "pipeline.lex"
 	PointPipelineParse     = "pipeline.parse"
 	PointPipelineTypecheck = "pipeline.typecheck"
@@ -97,6 +97,7 @@ const (
 	PointPipelineCodegen   = "pipeline.codegen"
 	PointPipelineOptimize  = "pipeline.optimize"
 	PointPipelinePeephole  = "pipeline.peephole"
+	PointPipelineExecute   = "pipeline.execute"
 )
 
 // Action is what a rule does when it fires.

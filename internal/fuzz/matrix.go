@@ -344,11 +344,12 @@ func (t Treatment) buildOptions() pipeline.Options {
 	return opts
 }
 
-// runTreatment builds one treatment on the matrix's shared stage-graph
-// pipeline — treatments differing only in execution regime (or only in
-// back-end options) reuse cached front-end stages — and executes it.
-// Injected faults reach both the pipeline stages (via the build context)
-// and the interpreter (via exec.Faults); an injected build failure is a
+// runTreatment builds and executes one treatment on the matrix's shared
+// stage-graph pipeline: treatments differing only in execution regime
+// (or only in back-end options) reuse cached front-end stages, and
+// treatments differing only in cost model share one run. Injected faults
+// reach both the pipeline stages (via the build context) and the
+// interpreter (via the run options); an injected build failure is a
 // treatment outcome, not a harness error, exactly like an injected
 // run-time fault.
 func runTreatment(ctx context.Context, runner *pipeline.Runner, p *Program, t Treatment, maxInstrs uint64, faults *faultinject.Set) (TreatmentResult, error) {
@@ -375,7 +376,6 @@ func runTreatment(ctx context.Context, runner *pipeline.Runner, p *Program, t Tr
 		}
 		return r, err
 	}
-	prog := b.Prog
 	exec := interp.Options{
 		Config: t.Machine, Validate: true, MaxInstrs: maxInstrs, Faults: faults,
 		Temporal: t.Annotate == AnnotateTemporal,
@@ -399,7 +399,7 @@ func runTreatment(ctx context.Context, runner *pipeline.Runner, p *Program, t Tr
 		exec.GCEveryInstrs = 211
 		exec.TriggerBytes = 8 << 10
 	}
-	res, err := interp.RunContext(ctx, prog, exec)
+	res, _, err := runner.Execute(bctx, b.Prog, b.Key, exec)
 	if res != nil {
 		r.Output = res.Output
 	}
@@ -434,9 +434,10 @@ func RunMatrixContext(ctx context.Context, p *Program, opt MatrixOptions) (*Matr
 	if width <= 0 {
 		width = par.Default()
 	}
-	// One pipeline per matrix: the ~30 treatments of one program share a
-	// front end (and often whole compiled programs) through the stage
-	// cache; concurrent treatments coalesce per stage via singleflight.
+	// One pipeline per matrix: the treatments of one program share a
+	// front end, often whole compiled programs, and the runs of programs
+	// that differ only in cost model; concurrent treatments coalesce per
+	// stage via singleflight.
 	runner := pipeline.NewRunner(artifact.New(0))
 	par.ForEach(width, len(ts), func(i int) {
 		results[i], errs[i] = runTreatment(ctx, runner, p, ts[i], opt.MaxInstrs, opt.Faults)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gcsafety/internal/artifact"
+	"gcsafety/internal/faultinject"
 	"gcsafety/internal/machine"
 	"gcsafety/internal/pipeline"
 )
@@ -177,5 +178,48 @@ func TestResultKeyIsOptionsKey(t *testing.T) {
 			t.Errorf("%s: shares a key with a treatment that compiles differently", tr.Name())
 		}
 		listings[b.Key] = b.Prog.Listing()
+	}
+}
+
+// TestMatrixSharesRuns: the matrix's treatments run on one pipeline, so
+// treatments that differ only in cost model (the SPARCstation 2 and 10
+// twins) share one run: 65 treatments make 49 runs, and the 49 without
+// the adversarial schedules make 36. Runs with faults armed are never
+// cached, so a clean pass after a faulted one on the same pipeline
+// reuses none of them.
+func TestMatrixSharesRuns(t *testing.T) {
+	p := Generate(1, 8)
+	faults, err := faultinject.Parse("gc.alloc=error,after=2,msg=injected-oom", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		opt        MatrixOptions
+		treatments int
+		runs       uint64
+	}{{MatrixOptions{}, 65, 49}, {MatrixOptions{SkipAdversarial: true}, 49, 36}} {
+		ts := Treatments(c.opt)
+		if len(ts) != c.treatments {
+			t.Fatalf("%d treatments, want %d", len(ts), c.treatments)
+		}
+		runner := pipeline.NewRunner(artifact.New(0))
+		pass := func(faults *faultinject.Set) uint64 {
+			before := runner.StageStats(pipeline.StageExecute).Misses
+			for _, tr := range ts {
+				if _, err := runTreatment(context.Background(), runner, p, tr, 0, faults); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return runner.StageStats(pipeline.StageExecute).Misses - before
+		}
+		if n := pass(faults); n != uint64(len(ts)) {
+			t.Errorf("faulted pass ran %d of %d treatments", n, len(ts))
+		}
+		if n := pass(nil); n != c.runs {
+			t.Errorf("skip_adversarial=%v: %d runs computed, want %d", c.opt.SkipAdversarial, n, c.runs)
+		}
+		if n := pass(nil); n != 0 {
+			t.Errorf("skip_adversarial=%v: a warm pass computed %d runs", c.opt.SkipAdversarial, n)
+		}
 	}
 }

@@ -225,26 +225,43 @@ func (s *Snapshot) SiteOf(o *Object) *Site {
 	return &s.Sites[o.Site]
 }
 
-// TruncateObjects bounds the snapshot to at most max objects (by base
-// order), dropping roots and references that point past the kept prefix.
-// The per-request size bound of the /v1/heapdump endpoint.
-func (s *Snapshot) TruncateObjects(max int) {
-	if max <= 0 || len(s.Objects) <= max {
-		return
-	}
-	limit := s.Objects[max].Base
-	s.Objects = s.Objects[:max:max]
+// AccountedSize estimates the snapshot's in-memory footprint for cache
+// accounting.
+func (s *Snapshot) AccountedSize() int64 {
+	n := int64(len(s.Reason)) + 64
 	for i := range s.Objects {
-		o := &s.Objects[i]
+		n += 32 + int64(len(s.Objects[i].Refs))*4
+	}
+	n += int64(len(s.Roots)) * 24
+	for i := range s.Sites {
+		n += 40 + int64(len(s.Sites[i].Func)+len(s.Sites[i].Kind))
+	}
+	return n
+}
+
+// TruncateObjects returns the snapshot bounded to at most max objects
+// (by base order), dropping roots and references that point past the
+// kept prefix: the per-request size bound of the /v1/heapdump endpoint.
+// A snapshot that fits is returned as is; a larger one is copied, never
+// modified, since a cached snapshot is shared.
+func (s *Snapshot) TruncateObjects(max int) *Snapshot {
+	if max <= 0 || len(s.Objects) <= max {
+		return s
+	}
+	t := *s
+	limit := s.Objects[max].Base
+	t.Objects = append([]Object(nil), s.Objects[:max]...)
+	for i := range t.Objects {
+		o := &t.Objects[i]
 		n := sort.Search(len(o.Refs), func(j int) bool { return o.Refs[j] >= limit })
 		o.Refs = o.Refs[:n:n]
 	}
-	kept := s.Roots[:0]
+	t.Roots = s.Roots[:0:0]
 	for _, r := range s.Roots {
 		if r.Target < limit {
-			kept = append(kept, r)
+			t.Roots = append(t.Roots, r)
 		}
 	}
-	s.Roots = kept
-	s.Truncated = true
+	t.Truncated = true
+	return &t
 }

@@ -139,9 +139,14 @@ func TestTruncateObjects(t *testing.T) {
 		emit(RootReg, 0, 1, bases[9])
 		emit(RootReg, 0, 2, bases[0])
 	}, nil, nil)
-	snap.TruncateObjects(4)
+	full := snap
+	snap = snap.TruncateObjects(4)
 	if len(snap.Objects) != 4 || !snap.Truncated {
 		t.Fatalf("truncate kept %d objects (truncated=%v), want 4", len(snap.Objects), snap.Truncated)
+	}
+	if len(full.Objects) != 10 || full.Truncated || len(full.Roots) != 2 {
+		t.Fatalf("truncation modified the original: %d objects, %d roots, truncated=%v",
+			len(full.Objects), len(full.Roots), full.Truncated)
 	}
 	for _, r := range snap.Roots {
 		if snap.Object(r.Target) == nil {
@@ -180,33 +185,49 @@ func TestSnapshotJSONRoundtrip(t *testing.T) {
 	}
 }
 
+// TestWireCodecRoundtrip checks that a snapshot survives the gob wire
+// encoding that persists it (inside a clean execution's artifact) with
+// its content and its cache accounting unchanged.
 func TestWireCodecRoundtrip(t *testing.T) {
 	h := testHeap(t)
 	a := alloc(t, h, 16)
+	b := alloc(t, h, 16)
+	write(t, h, a, b)
 	snap := Capture(h, TriggerRequest, func(emit func(string, int, uint32, uint32)) {
 		emit(RootReg, 0, 1, a)
 	}, nil, nil)
 
-	reg := artifact.NewCodecRegistry()
-	RegisterWire(reg)
-	codec := reg.DiskCodec()
-	kind, data, ok := codec.Encode(artifact.NewKey("test").Str("x").Sum(), snap)
-	if !ok || kind != WireKind {
-		t.Fatalf("encode: ok=%v kind=%q", ok, kind)
+	data, ok := artifact.GobBytes(snap)
+	if !ok {
+		t.Fatal("encode failed")
 	}
-	v, size, err := codec.Decode(kind, data)
-	if err != nil {
+	back := &Snapshot{}
+	if err := artifact.GobDecode(data, back); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	back, ok := v.(*Snapshot)
+	if back.AccountedSize() != snap.AccountedSize() {
+		t.Fatalf("accounted size %d after roundtrip, want %d", back.AccountedSize(), snap.AccountedSize())
+	}
+	if len(back.Objects) != 2 || back.Objects[0].Base != a || back.Objects[1].Base != b {
+		t.Fatalf("roundtrip objects mismatch: %+v", back.Objects)
+	}
+	if len(back.Objects[0].Refs) != 1 || back.Objects[0].Refs[0] != b {
+		t.Fatalf("roundtrip refs mismatch: %+v", back.Objects[0].Refs)
+	}
+	if len(back.Roots) != 1 || back.Roots[0].Target != a || back.Trigger != snap.Trigger {
+		t.Fatalf("roundtrip roots/trigger mismatch: %+v vs %+v", back, snap)
+	}
+	// A truncated snapshot keeps its flag across the wire.
+	cut := snap.TruncateObjects(1)
+	data, ok = artifact.GobBytes(cut)
 	if !ok {
-		t.Fatalf("decode type %T", v)
+		t.Fatal("encode truncated failed")
 	}
-	if size != snap.AccountedSize() || len(back.Objects) != 1 || back.Objects[0].Base != a {
-		t.Fatalf("roundtrip mismatch: size=%d objects=%+v", size, back.Objects)
+	back = &Snapshot{}
+	if err := artifact.GobDecode(data, back); err != nil {
+		t.Fatalf("decode truncated: %v", err)
 	}
-	// A non-snapshot value must not be claimed.
-	if _, _, ok := codec.Encode(artifact.NewKey("test").Str("z").Sum(), 42); ok {
-		t.Fatal("codec claimed a non-snapshot value")
+	if !back.Truncated || len(back.Objects) != 1 {
+		t.Fatalf("truncated roundtrip: truncated=%v objects=%d", back.Truncated, len(back.Objects))
 	}
 }

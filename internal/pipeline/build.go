@@ -179,7 +179,7 @@ func AnnotateKey(name, src string, opts gcsafe.Options) artifact.Key {
 // frontEnd runs the treatment-independent prefix of the graph — Lex,
 // Parse, Typecheck — and returns the Typecheck artifact.
 func (r *Runner) frontEnd(ctx context.Context, name, src string, k keys, rep *BuildReport) (*checked, error) {
-	v, err := r.run(ctx, StageLex, k.lex, rep, func() (any, int64, error) {
+	v, _, err := r.run(ctx, StageLex, k.lex, rep, func() (any, int64, error) {
 		s := lexer.ScanAll(src)
 		return s, int64(len(s.Tokens))*48 + 64, nil
 	})
@@ -188,7 +188,7 @@ func (r *Runner) frontEnd(ctx context.Context, name, src string, k keys, rep *Bu
 	}
 	scan := v.(*lexer.Scan)
 
-	v, err = r.run(ctx, StageParse, k.parse, rep, func() (any, int64, error) {
+	v, _, err = r.run(ctx, StageParse, k.parse, rep, func() (any, int64, error) {
 		f, err := parser.ParseTokens(name, src, scan.Replay())
 		if err != nil {
 			return nil, 0, err
@@ -200,7 +200,7 @@ func (r *Runner) frontEnd(ctx context.Context, name, src string, k keys, rep *Bu
 	}
 	file := v.(*ast.File)
 
-	v, err = r.run(ctx, StageTypecheck, k.check, rep, func() (any, int64, error) {
+	v, _, err = r.run(ctx, StageTypecheck, k.check, rep, func() (any, int64, error) {
 		ck, err := verify(file)
 		if err != nil {
 			return nil, 0, err
@@ -223,7 +223,7 @@ func (r *Runner) frontEnd(ctx context.Context, name, src string, k keys, rep *Bu
 func (r *Runner) annotate(ctx context.Context, ck *checked, k keys, opts gcsafe.Options, rep *BuildReport) (*annotated, error) {
 	var facts *liveness.Facts
 	if opts.Elide {
-		v, err := r.run(ctx, StageLiveness, k.live, rep, func() (any, int64, error) {
+		v, _, err := r.run(ctx, StageLiveness, k.live, rep, func() (any, int64, error) {
 			facts := liveness.Analyze(ck.file)
 			return facts, int64(facts.Units())*96 + 256, nil
 		})
@@ -232,7 +232,7 @@ func (r *Runner) annotate(ctx context.Context, ck *checked, k keys, opts gcsafe.
 		}
 		facts = v.(*liveness.Facts)
 	}
-	v, err := r.run(ctx, StageAnnotate, k.annotate, rep, func() (any, int64, error) {
+	v, _, err := r.run(ctx, StageAnnotate, k.annotate, rep, func() (any, int64, error) {
 		clone := ck.file.Clone()
 		res, err := gcsafe.AnnotateWithFacts(clone, opts, facts)
 		if err != nil {
@@ -308,7 +308,7 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 		DisableReassociation: opts.DisableReassociation,
 		DisableLoadFolding:   opts.DisableLoadFolding,
 	}
-	v, err := r.run(ctx, StageCodegen, k.codegen, rep, func() (any, int64, error) {
+	v, _, err := r.run(ctx, StageCodegen, k.codegen, rep, func() (any, int64, error) {
 		ir, err := codegen.Gen(file, cgOpts)
 		if err != nil {
 			return nil, 0, err
@@ -324,7 +324,7 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 	}
 	ir := v.(*codegen.IR)
 
-	v, err = r.run(ctx, StageOptimize, k.optimize, rep, func() (any, int64, error) {
+	v, _, err = r.run(ctx, StageOptimize, k.optimize, rep, func() (any, int64, error) {
 		prog := codegen.Backend(ir)
 		return prog, int64(prog.Size())*40 + int64(len(prog.Data)) + 256, nil
 	})
@@ -336,7 +336,7 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 
 	if opts.Post {
 		prog := res.Prog
-		v, err = r.run(ctx, StagePeephole, k.peephole, rep, func() (any, int64, error) {
+		v, _, err = r.run(ctx, StagePeephole, k.peephole, rep, func() (any, int64, error) {
 			q := prog.Clone()
 			st := peephole.Optimize(q, opts.Machine)
 			return &postprocessed{prog: q, stats: st}, int64(q.Size())*40 + int64(len(q.Data)) + 256, nil

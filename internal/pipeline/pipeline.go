@@ -2,7 +2,7 @@
 // parse → annotate → compile → postprocess build path, split into an
 // explicit DAG of stages
 //
-//	Lex → Parse → Typecheck → Liveness → Annotate(mode) → Codegen(machine) → Optimize → Peephole
+//	Lex → Parse → Typecheck → Liveness → Annotate(mode) → Codegen(machine) → Optimize → Peephole → Execute
 //
 // each of which declares typed input/output artifacts and a content key
 // derived from its input keys, its own version string, and a fingerprint
@@ -36,7 +36,7 @@ type Stage string
 // The stages, in dependency order. Liveness runs only for elided
 // treatments, Annotate is skipped when annotation is disabled, and
 // Peephole when postprocessing is disabled; the other five run on every
-// build.
+// build. Runner.Execute runs Execute on a built program.
 const (
 	StageLex       Stage = "lex"
 	StageParse     Stage = "parse"
@@ -46,13 +46,14 @@ const (
 	StageCodegen   Stage = "codegen"
 	StageOptimize  Stage = "optimize"
 	StagePeephole  Stage = "peephole"
+	StageExecute   Stage = "execute"
 )
 
 // Stages returns every stage in dependency order.
 func Stages() []Stage {
 	return []Stage{
 		StageLex, StageParse, StageTypecheck, StageLiveness, StageAnnotate,
-		StageCodegen, StageOptimize, StagePeephole,
+		StageCodegen, StageOptimize, StagePeephole, StageExecute,
 	}
 }
 
@@ -74,6 +75,8 @@ func (s Stage) index() int {
 // content key, so shipping a changed stage invalidates exactly that stage
 // and everything downstream of it — upstream artifacts stay warm. Bump a
 // stage's version whenever its output for unchanged inputs can change.
+// Execute has none: its run key chains on the program key, and a changed
+// interpreter bumps the execution's wire kind instead.
 var (
 	versionMu sync.RWMutex
 	versions  = map[Stage]string{

@@ -14,6 +14,7 @@ import (
 	"gcsafety/internal/codegen"
 	"gcsafety/internal/faultinject"
 	"gcsafety/internal/gcsafe"
+	"gcsafety/internal/interp"
 	"gcsafety/internal/machine"
 	"gcsafety/internal/peephole"
 	"gcsafety/internal/workloads"
@@ -253,9 +254,10 @@ func TestVersionBumpInvalidatesStage(t *testing.T) {
 	}
 }
 
-// TestStageFaultInjection drives every stage's fault point: the build
-// must fail with the injected error attributed to that stage, the error
-// must not be cached, and a fault-free retry must succeed.
+// TestStageFaultInjection drives every stage's fault point: the build,
+// or for Execute the run, must fail with the injected error attributed
+// to that stage, the error must not be cached, and a fault-free retry
+// must succeed.
 func TestStageFaultInjection(t *testing.T) {
 	w := workloads.All()[0]
 	for _, st := range Stages() {
@@ -264,28 +266,37 @@ func TestStageFaultInjection(t *testing.T) {
 		o := Options{Optimize: true, Annotate: true, Post: true, Machine: machine.SPARCstation10()}
 		o.AnnotateOptions.Elide = true
 		r := NewRunner(artifact.New(0))
+		walk := func(ctx context.Context) error {
+			b, err := r.Build(ctx, w.Name+".c", w.Source, o)
+			if err != nil {
+				return err
+			}
+			_, _, err = r.Execute(ctx, b.Prog, b.Key, interp.Options{Config: o.Machine, Input: w.Input})
+			return err
+		}
 		faults, err := faultinject.Parse(st.FaultPoint()+"=error", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx := faultinject.WithContext(context.Background(), faults)
-		_, err = r.Build(ctx, w.Name+".c", w.Source, o)
+		err = walk(faultinject.WithContext(context.Background(), faults))
 		if err == nil {
 			t.Fatalf("%s: build survived an injected fault", st)
 		}
 		if !errors.Is(err, faultinject.ErrInjected) {
 			t.Fatalf("%s: error %v is not ErrInjected", st, err)
 		}
+		// A build error names its stage; Execute returns the run's errors
+		// as they are.
 		var se *StageError
-		if !errors.As(err, &se) || se.Stage != st {
+		if st != StageExecute && (!errors.As(err, &se) || se.Stage != st) {
 			t.Fatalf("%s: fault attributed to %v", st, err)
 		}
 		if s := r.StageStats(st); s.Errors == 0 {
 			t.Errorf("%s: error not counted", st)
 		}
-		// Errors are never cached: the same runner must build cleanly once
-		// the faults are gone.
-		if _, err := r.Build(context.Background(), w.Name+".c", w.Source, o); err != nil {
+		// Errors are never cached: the same runner must build and run
+		// cleanly once the faults are gone.
+		if err := walk(context.Background()); err != nil {
 			t.Fatalf("%s: retry after fault failed: %v", st, err)
 		}
 	}
@@ -362,6 +373,9 @@ func TestVersionBumpChangesKey(t *testing.T) {
 	o := Options{Annotate: true, AnnotateOptions: gcsafe.Options{Elide: true}, Optimize: true, Post: true, Machine: machine.SPARCstation10()}
 	before, beforeAnn := o.Key(name, w.Source), AnnotateKey(name, w.Source, o.AnnotateOptions)
 	for _, st := range Stages() {
+		if st == StageExecute {
+			continue // no version: it keys on the run, not the program
+		}
 		restore := SetVersionForTest(st, "v-test-bump")
 		bumped, bumpedAnn := o.Key(name, w.Source), AnnotateKey(name, w.Source, o.AnnotateOptions)
 		restore()
@@ -503,6 +517,36 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if got := v.(*postprocessed); got.stats != pp.stats || got.prog.Listing() != pp.prog.Listing() {
 		t.Error("postprocessed artifact changed across the wire")
+	}
+	// A clean execution, heap snapshot included, round-trips; a run that
+	// ended in an error stays memory-only.
+	run := interp.Options{Config: machine.SPARCstation10(), Input: w.Input, HeapProfile: true}
+	if _, _, err := r.Execute(context.Background(), res.Prog, res.Key, run); err != nil {
+		t.Fatal(err)
+	}
+	cached, _ := r.Cache().Get(run.Key(res.Key))
+	x := cached.(*execution)
+	kind, data, ok = codec.Encode("k4", x)
+	if !ok || kind != kindExec {
+		t.Fatalf("execution did not encode (ok=%v kind=%q)", ok, kind)
+	}
+	v, size, err = codec.Decode(kind, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := v.(*execution)
+	if got.err != nil || got.res.Output != x.res.Output || got.res.OpCounts != x.res.OpCounts ||
+		got.res.GCStats != x.res.GCStats || got.res.Price(run.Config) != x.res.Price(run.Config) {
+		t.Error("execution changed across the wire")
+	}
+	if len(got.res.Snapshot.Objects) != len(x.res.Snapshot.Objects) || len(x.res.Snapshot.Objects) == 0 {
+		t.Errorf("snapshot kept %d of %d objects across the wire", len(got.res.Snapshot.Objects), len(x.res.Snapshot.Objects))
+	}
+	if size != x.size() {
+		t.Errorf("accounted size %d != %d", size, x.size())
+	}
+	if _, _, ok := codec.Encode("k5", &execution{res: x.res, err: errors.New("fault")}); ok {
+		t.Error("an execution that ended in an error was encoded")
 	}
 	// Unclaimed values stay memory-only.
 	if _, _, ok := codec.Encode("k3", 42); ok {

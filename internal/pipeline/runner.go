@@ -143,26 +143,35 @@ func (b *BuildReport) AllHits() bool {
 }
 
 // run executes one stage: a ctx check at the boundary, the stage's fault
-// injection point, then the cached computation. The returned error is the
-// raw stage error; callers wrap it in a StageError.
-func (r *Runner) run(ctx context.Context, st Stage, key artifact.Key, rep *BuildReport, compute func() (any, int64, error)) (any, error) {
+// injection point, then the computation, cached under key unless key is
+// empty. The returned error is the raw stage error; Build wraps it in a
+// StageError.
+func (r *Runner) run(ctx context.Context, st Stage, key artifact.Key, rep *BuildReport, compute func() (any, int64, error)) (any, bool, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	c := &r.stats[st.index()]
 	c.calls.Add(1)
 	start := time.Now()
-	v, hit, err := r.cache.GetOrCompute(ctx, key, func() (any, int64, error) {
+	fire := func() (any, int64, error) {
 		if ferr := faultinject.For(ctx).FireCtx(ctx, st.FaultPoint()); ferr != nil {
 			return nil, 0, ferr
 		}
 		return compute()
-	})
+	}
+	var v any
+	var hit bool
+	var err error
+	if key == "" {
+		v, _, err = fire()
+	} else {
+		v, hit, err = r.cache.GetOrCompute(ctx, key, fire)
+	}
 	d := time.Since(start)
 	c.durationNs.Add(uint64(d.Nanoseconds()))
 	if err != nil {
 		c.errors.Add(1)
-		return nil, err
+		return nil, false, err
 	}
 	if hit {
 		c.hits.Add(1)
@@ -176,7 +185,7 @@ func (r *Runner) run(ctx context.Context, st Stage, key artifact.Key, rep *Build
 			DurationMs: float64(d.Nanoseconds()) / 1e6,
 		})
 	}
-	return v, nil
+	return v, hit, nil
 }
 
 // StageError attributes a build failure to the stage that produced it.

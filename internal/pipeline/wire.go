@@ -1,23 +1,24 @@
 package pipeline
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"gcsafety/internal/artifact"
+	"gcsafety/internal/interp"
 	"gcsafety/internal/machine"
 	"gcsafety/internal/peephole"
 )
 
-// Wire kinds for the stage artifacts that survive a process restart.
-// Only the compiled-program artifacts (Optimize, Peephole) are
-// persistable: the front-end artifacts — token streams, ASTs, IR — are
-// pointer graphs that gob cannot round-trip, and they rebuild quickly;
-// they simply stay memory-only.
+// Wire kinds for the stage artifacts that survive a process restart:
+// the compiled programs (Optimize, Peephole) and the error-free
+// executions. The front-end artifacts — token streams, ASTs, IR — are
+// pointer graphs that gob cannot round-trip, and they rebuild quickly; a
+// run error is an arbitrary value, and its run repeats to the same
+// answer. They simply stay memory-only.
 const (
 	kindProg = "pipeline.prog/v1"
 	kindPost = "pipeline.post/v1"
+	kindExec = "pipeline.exec/v1"
 )
 
 type wireProg struct {
@@ -38,8 +39,8 @@ func progAccountedSize(p *machine.Program) int64 {
 
 // RegisterWire contributes the pipeline's persistable artifact kinds to
 // a codec registry, letting a shared disk tier (gcsafed's) carry
-// per-stage compiled programs across restarts alongside the server's own
-// whole-product artifacts.
+// per-stage compiled programs and clean executions across restarts
+// alongside the server's own whole-product artifacts.
 func RegisterWire(reg *artifact.CodecRegistry) {
 	reg.Register(kindProg, artifact.Codec{
 		Encode: func(key artifact.Key, v any) ([]byte, bool) {
@@ -47,11 +48,11 @@ func RegisterWire(reg *artifact.CodecRegistry) {
 			if !ok {
 				return nil, false
 			}
-			return gobBytes(&wireProg{Prog: p})
+			return artifact.GobBytes(&wireProg{Prog: p})
 		},
 		Decode: func(data []byte) (any, int64, error) {
 			var w wireProg
-			if err := gobDecode(data, &w); err != nil {
+			if err := artifact.GobDecode(data, &w); err != nil {
 				return nil, 0, err
 			}
 			if w.Prog == nil || len(w.Prog.Funcs) == 0 {
@@ -66,11 +67,11 @@ func RegisterWire(reg *artifact.CodecRegistry) {
 			if !ok {
 				return nil, false
 			}
-			return gobBytes(&wirePost{Prog: p.prog, Stats: p.stats})
+			return artifact.GobBytes(&wirePost{Prog: p.prog, Stats: p.stats})
 		},
 		Decode: func(data []byte) (any, int64, error) {
 			var w wirePost
-			if err := gobDecode(data, &w); err != nil {
+			if err := artifact.GobDecode(data, &w); err != nil {
 				return nil, 0, err
 			}
 			if w.Prog == nil || len(w.Prog.Funcs) == 0 {
@@ -79,16 +80,20 @@ func RegisterWire(reg *artifact.CodecRegistry) {
 			return &postprocessed{prog: w.Prog, stats: w.Stats}, progAccountedSize(w.Prog), nil
 		},
 	})
-}
-
-func gobBytes(v any) ([]byte, bool) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
-func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+	reg.Register(kindExec, artifact.Codec{
+		Encode: func(key artifact.Key, v any) ([]byte, bool) {
+			x, ok := v.(*execution)
+			if !ok || x.err != nil || x.res == nil {
+				return nil, false
+			}
+			return artifact.GobBytes(x.res)
+		},
+		Decode: func(data []byte) (any, int64, error) {
+			x := &execution{res: &interp.Result{}}
+			if err := artifact.GobDecode(data, x.res); err != nil {
+				return nil, 0, err
+			}
+			return x, x.size(), nil
+		},
+	})
 }

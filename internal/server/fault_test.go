@@ -284,6 +284,14 @@ func TestDiskTierPersistsAcrossServers(t *testing.T) {
 	if s1.Compiles() != 1 {
 		t.Fatalf("compiles = %d, want 1", s1.Compiles())
 	}
+	// A clean run is a disk artifact too, heap snapshot included.
+	dump := map[string]any{"source": heapdumpC, "optimize": true}
+	var dumps [2]HeapdumpResponse
+	resp, data = postJSON(t, ts1.URL+"/v1/heapdump", dump)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first heapdump: %d %s", resp.StatusCode, data)
+	}
+	unmarshalInto(t, data, &dumps[0])
 
 	s2, ts2 := newTestServer(t, Config{CacheDir: dir})
 	if s2.DiskErr() != nil {
@@ -306,6 +314,15 @@ func TestDiskTierPersistsAcrossServers(t *testing.T) {
 	}
 	if s2.Compiles() != 0 {
 		t.Fatalf("second server recompiled %d times", s2.Compiles())
+	}
+	resp, data = postJSON(t, ts2.URL+"/v1/heapdump", dump)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("second server heapdump: %d %s", resp.StatusCode, data)
+	}
+	unmarshalInto(t, data, &dumps[1])
+	if dumps[0].CacheHit || !dumps[1].CacheHit || dumps[1].LiveObjects != dumps[0].LiveObjects ||
+		dumps[1].LiveBytes != dumps[0].LiveBytes || dumps[1].Snapshot.Trigger != dumps[0].Snapshot.Trigger {
+		t.Fatalf("heapdump across the restart: %+v, then %+v; want the run's snapshot restored", dumps[0], dumps[1])
 	}
 	st := s2.CacheStats()
 	if st.DiskHits == 0 || st.Disk == nil {

@@ -417,61 +417,54 @@ type RunResponse struct {
 	CacheHit    bool   `json:"cache_hit"`
 }
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
-	var req RunRequest
-	if err := decode(r, &req); err != nil {
-		return err
-	}
-	opts, key, err := req.resolve()
-	if err != nil {
-		return err
-	}
+// validate checks the request's execution knobs: the engine name and
+// the thread count.
+func (req *RunRequest) validate() error {
 	if err := checkEngine(req.Engine); err != nil {
 		return err
 	}
 	if req.Threads < 0 || req.Threads > maxRunThreads {
 		return errf(http.StatusBadRequest, "threads %d out of range (max %d)", req.Threads, maxRunThreads)
 	}
-	c, hit, err := s.compile(r.Context(), &req.CompileRequest, opts, key)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := s.runContext(r.Context(), req.TimeoutMs)
-	defer cancel()
-	res, runErr := interp.RunContext(ctx, c.prog, s.runOptions(r.Context(), &req, opts.Machine))
-	if runErr != nil && (errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)) {
-		return runErr
-	}
-	resp := RunResponse{Size: c.size, CacheHit: hit}
-	if res != nil {
-		resp.Output = res.Output
-		resp.ExitCode = res.ExitCode
-		resp.Cycles = res.Cycles
-		resp.Instrs = res.Instrs
-		resp.Collections = res.GCStats.Collections
-		resp.Allocated = res.GCStats.ObjectsAlloced
-		s.metrics.runs.record(res.Instrs, res.Cycles, res.GCStats, runErr != nil)
-	}
-	if runErr != nil {
-		resp.Fault = runErr.Error()
-		resp.StepLimit = errors.Is(runErr, interp.ErrInstrLimit)
-		var ce *interp.CheckError
-		resp.CheckFailed = errors.As(runErr, &ce)
-	}
-	writeJSON(w, http.StatusOK, resp)
 	return nil
 }
 
-// runOptions spells a run request's execution knobs as executor options
-// on cfg, with the step limit clamped to the server ceiling and the
-// request's injected faults (ctx) armed.
-func (s *Server) runOptions(ctx context.Context, req *RunRequest, cfg machine.Config) interp.Options {
+// executed is one run request's outcome: the compiled product, the run's
+// result and its own error, which is data to the caller, and whether
+// each came from the cache.
+type executed struct {
+	c          *compiled
+	compileHit bool
+	res        *interp.Result
+	runHit     bool
+	runErr     error
+}
+
+// execute compiles the request's program through the product cache and
+// runs it on the pipeline's Execute stage, with the step limit clamped to
+// the server ceiling and the request's injected faults armed. A run that
+// was computed rather than shared is recorded in /metrics. The error is a
+// rejected request, a failed compile or a context error.
+func (s *Server) execute(r *http.Request, req *RunRequest, heapProfile bool) (*executed, error) {
+	opts, key, err := req.resolve()
+	if err != nil {
+		return nil, err
+	}
+	if err := req.validate(); err != nil {
+		return nil, err
+	}
+	x := &executed{}
+	if x.c, x.compileHit, err = s.compile(r.Context(), &req.CompileRequest, opts, key); err != nil {
+		return nil, err
+	}
 	steps := s.cfg.MaxSteps
 	if req.MaxSteps > 0 && req.MaxSteps < steps {
 		steps = req.MaxSteps
 	}
-	return interp.Options{
-		Config:              cfg,
+	ctx, cancel := s.runContext(r.Context(), req.TimeoutMs)
+	defer cancel()
+	x.res, x.runHit, x.runErr = s.pipeline.Execute(ctx, x.c.prog, key, interp.Options{
+		Config:              opts.Machine,
 		Input:               req.Input,
 		GCEveryInstrs:       req.GCEvery,
 		CollectAtEveryAlloc: req.CollectAtEveryAlloc,
@@ -482,8 +475,44 @@ func (s *Server) runOptions(ctx context.Context, req *RunRequest, cfg machine.Co
 		CollectAtSwitch:     req.CollectAtSwitch,
 		BaseOnlyHeap:        req.BaseOnly,
 		MaxInstrs:           steps,
-		Faults:              faultinject.FromContext(ctx),
+		Faults:              faultinject.FromContext(r.Context()),
+		HeapProfile:         heapProfile,
+	})
+	if errors.Is(x.runErr, context.Canceled) || errors.Is(x.runErr, context.DeadlineExceeded) {
+		return nil, x.runErr
 	}
+	if x.res != nil && !x.runHit {
+		s.metrics.runs.record(x.res.Instrs, x.res.Cycles, x.res.GCStats, x.runErr != nil)
+	}
+	return x, nil
+}
+
+func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
+	var req RunRequest
+	if err := decode(r, &req); err != nil {
+		return err
+	}
+	x, err := s.execute(r, &req, false)
+	if err != nil {
+		return err
+	}
+	resp := RunResponse{Size: x.c.size, CacheHit: x.compileHit}
+	if res := x.res; res != nil {
+		resp.Output = res.Output
+		resp.ExitCode = res.ExitCode
+		resp.Cycles = res.Cycles
+		resp.Instrs = res.Instrs
+		resp.Collections = res.GCStats.Collections
+		resp.Allocated = res.GCStats.ObjectsAlloced
+	}
+	if runErr := x.runErr; runErr != nil {
+		resp.Fault = runErr.Error()
+		resp.StepLimit = errors.Is(runErr, interp.ErrInstrLimit)
+		var ce *interp.CheckError
+		resp.CheckFailed = errors.As(runErr, &ce)
+	}
+	writeJSON(w, http.StatusOK, resp)
+	return nil
 }
 
 // runContext derives the execution context: the request's own context,

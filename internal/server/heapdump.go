@@ -1,15 +1,11 @@
 package server
 
 import (
-	"context"
-	"errors"
 	"net/http"
 	"strings"
 	"time"
 
-	"gcsafety/internal/artifact"
 	"gcsafety/internal/heapdump"
-	"gcsafety/internal/interp"
 )
 
 // HeapdumpRequest compiles and executes a program with allocation-site
@@ -43,58 +39,33 @@ func (s *Server) handleHeapdump(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	opts, ckey, err := req.resolve()
+	x, err := s.execute(r, &req.RunRequest, true)
 	if err != nil {
 		return err
 	}
-	if req.Threads < 0 || req.Threads > maxRunThreads {
-		return errf(http.StatusBadRequest, "threads %d out of range (max %d)", req.Threads, maxRunThreads)
+	if x.res == nil || x.res.Snapshot == nil {
+		reason := "no result"
+		if x.res != nil {
+			reason = x.res.SnapshotErr
+		}
+		return errf(http.StatusInternalServerError, "heapdump capture failed: %s", reason)
 	}
+	snap := x.res.Snapshot
+	if !x.runHit {
+		s.metrics.heap.record(len(snap.Objects), snap.TotalBytes(), snap.Epoch, time.Duration(snap.CaptureNs))
+	}
+	// The snapshot is the cached run's, shared by every request for it:
+	// truncation bounds a per-response copy.
 	maxObjects := s.cfg.MaxDumpObjects
 	if req.MaxObjects > 0 && req.MaxObjects < maxObjects {
 		maxObjects = req.MaxObjects
 	}
-	c, _, err := s.compile(r.Context(), &req.CompileRequest, opts, ckey)
-	if err != nil {
-		return err
-	}
-	ctx, cancel := s.runContext(r.Context(), req.TimeoutMs)
-	defer cancel()
-	run := s.runOptions(r.Context(), &req.RunRequest, opts.Machine)
-	run.HeapProfile = true
-	// Execution is deterministic, so the program, the run options and the
-	// object bound fully determine the snapshot.
-	key := artifact.NewKey("heapdump").Str(string(run.Key(ckey))).Int(int64(maxObjects)).Sum()
-	v, hit, err := s.cache.GetOrCompute(ctx, key, func() (any, int64, error) {
-		res, runErr := interp.RunContext(ctx, c.prog, run)
-		if runErr != nil && (errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded)) {
-			return nil, 0, runErr
-		}
-		if res != nil {
-			s.metrics.runs.record(res.Instrs, res.Cycles, res.GCStats, runErr != nil)
-		}
-		if res == nil || res.Snapshot == nil {
-			reason := "no result"
-			if res != nil {
-				reason = res.SnapshotErr
-			}
-			return nil, 0, errf(http.StatusInternalServerError, "heapdump capture failed: %s", reason)
-		}
-		snap := res.Snapshot
-		snap.TruncateObjects(maxObjects)
-		s.metrics.heap.record(len(snap.Objects), snap.TotalBytes(), snap.Epoch,
-			time.Duration(snap.CaptureNs))
-		return snap, snap.AccountedSize(), nil
-	})
-	if err != nil {
-		return err
-	}
-	snap := v.(*heapdump.Snapshot)
+	snap = snap.TruncateObjects(maxObjects)
 	resp := HeapdumpResponse{
 		Snapshot:    snap,
 		LiveObjects: len(snap.Objects),
 		LiveBytes:   snap.TotalBytes(),
-		CacheHit:    hit,
+		CacheHit:    x.runHit,
 	}
 	if req.Report {
 		topN := req.TopN

@@ -123,6 +123,63 @@ func TestHeapdumpEndpointTruncation(t *testing.T) {
 	}
 }
 
+// TestHeapdumpTruncationLeavesCachedSnapshot: a truncated response is a
+// copy; the full snapshot the run cached still serves a later request
+// that asks for every object.
+func TestHeapdumpTruncationLeavesCachedSnapshot(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	var req HeapdumpRequest
+	req.Source = heapdumpC
+	req.MaxObjects = 4
+	var small, full HeapdumpResponse
+	resp, data := postJSON(t, ts.URL+"/v1/heapdump", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, data)
+	}
+	unmarshalInto(t, data, &small)
+	req.MaxObjects = 0
+	resp, data = postJSON(t, ts.URL+"/v1/heapdump", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d: %s", resp.StatusCode, data)
+	}
+	unmarshalInto(t, data, &full)
+	if small.LiveObjects != 4 || !small.Snapshot.Truncated {
+		t.Fatalf("bounded dump has %d objects (truncated=%v), want 4", small.LiveObjects, small.Snapshot.Truncated)
+	}
+	if !full.CacheHit || full.Snapshot.Truncated || full.LiveObjects < 8 {
+		t.Fatalf("full dump: %d objects, truncated=%v, cache_hit=%v; want the cached run's whole heap",
+			full.LiveObjects, full.Snapshot.Truncated, full.CacheHit)
+	}
+}
+
+// TestHeapdumpFaultedRunIsNotCached: a run with injected faults is not
+// the program's run, so a clean request after it must run again and
+// see the clean heap.
+func TestHeapdumpFaultedRunIsNotCached(t *testing.T) {
+	_, ts := newTestServer(t, Config{AllowFaultHeaders: true})
+	var req HeapdumpRequest
+	req.Source = heapdumpC
+	resp, data := postFaulted(t, ts.URL+"/v1/heapdump", "gc.alloc=error,after=2,msg=injected-oom", "", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("faulted: status = %d: %s", resp.StatusCode, data)
+	}
+	var faulted HeapdumpResponse
+	unmarshalInto(t, data, &faulted)
+	if faulted.Snapshot.Trigger != heapdump.TriggerViolation || !strings.Contains(faulted.Snapshot.Reason, "injected-oom") {
+		t.Fatalf("faulted dump: trigger %q, reason %q", faulted.Snapshot.Trigger, faulted.Snapshot.Reason)
+	}
+	resp, data = postJSON(t, ts.URL+"/v1/heapdump", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("clean: status = %d: %s", resp.StatusCode, data)
+	}
+	var clean HeapdumpResponse
+	unmarshalInto(t, data, &clean)
+	if clean.CacheHit || clean.Snapshot.Trigger != heapdump.TriggerExit {
+		t.Fatalf("clean dump after a faulted one: cache_hit=%v trigger %q, want a fresh run to exit",
+			clean.CacheHit, clean.Snapshot.Trigger)
+	}
+}
+
 func TestHeapdumpEndpointViolation(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	var req HeapdumpRequest

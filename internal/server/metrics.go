@@ -78,8 +78,9 @@ type EndpointSnapshot struct {
 	LatencyMs HistogramSnapshot `json:"latency_ms"`
 }
 
-// runMetrics accumulates interpreter activity across /v1/run and
-// /v1/matrix requests — the service-level view of collector behavior.
+// runMetrics accumulates interpreter activity across the runs that
+// /v1/run and /v1/heapdump computed (a shared run counts once) — the
+// service-level view of collector behavior.
 type runMetrics struct {
 	programs    atomic.Uint64
 	faults      atomic.Uint64

@@ -294,6 +294,12 @@ func TestEngineField(t *testing.T) {
 		if resp.StatusCode != c.want {
 			t.Errorf("/v1/run engine %q: status = %d, want %d: %s", c.engine, resp.StatusCode, c.want, data)
 		}
+		resp, data = postJSON(t, ts.URL+"/v1/heapdump", map[string]any{
+			"name": "t.c", "source": helloC, "optimize": true, "engine": c.engine,
+		})
+		if resp.StatusCode != c.want {
+			t.Errorf("/v1/heapdump engine %q: status = %d, want %d: %s", c.engine, resp.StatusCode, c.want, data)
+		}
 		resp, data = postJSON(t, ts.URL+"/v1/matrix", map[string]any{
 			"seed": 1, "steps": 2, "machines": []string{"ss10"}, "skip_adversarial": true, "engine": c.engine,
 		})
@@ -544,13 +550,16 @@ func TestMetricsAdvance(t *testing.T) {
 	if bucketSum != run.LatencyMs.Count {
 		t.Fatalf("histogram buckets sum to %d, want %d", bucketSum, run.LatencyMs.Count)
 	}
-	if after.Runs.Programs != before.Runs.Programs+2 || after.Runs.Cycles == 0 {
+	// The second identical run shares the first one's execution, and run
+	// metrics count computed runs only.
+	if after.Runs.Programs != before.Runs.Programs+1 || after.Runs.Cycles == 0 {
 		t.Fatalf("run metrics did not advance: %+v", after.Runs)
 	}
 	// One cold compile = 1 outer miss + 5 stage misses (lex, parse,
-	// typecheck, codegen, optimize — no annotation, no peephole); the
-	// second identical run hits the outer whole-product entry.
-	if after.Cache.Hits != 1 || after.Cache.Misses != 6 || after.Compiles != 1 {
+	// typecheck, codegen, optimize — no annotation, no peephole), and one
+	// execution; the second identical run hits the outer whole-product
+	// entry and the execution.
+	if after.Cache.Hits != 2 || after.Cache.Misses != 7 || after.Compiles != 1 {
 		t.Fatalf("cache counters: %+v compiles=%d", after.Cache, after.Compiles)
 	}
 	if len(after.Pipeline) == 0 {
@@ -560,8 +569,8 @@ func TestMetricsAdvance(t *testing.T) {
 	for _, ps := range after.Pipeline {
 		executed += ps.Misses
 	}
-	if executed != 5 {
-		t.Fatalf("pipeline stages executed %d times, want 5: %+v", executed, after.Pipeline)
+	if executed != 6 {
+		t.Fatalf("pipeline stages executed %d times, want 6: %+v", executed, after.Pipeline)
 	}
 }
 

@@ -1,12 +1,9 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"gcsafety/internal/artifact"
-	"gcsafety/internal/heapdump"
 	"gcsafety/internal/machine"
 	"gcsafety/internal/pipeline"
 )
@@ -39,15 +36,14 @@ type wireCompiled struct {
 
 // artifactCodec composes the disk codec for the shared artifact cache:
 // the server's whole-product annotate/compile kinds plus the pipeline's
-// per-stage compiled-program kinds and the heapdump snapshot kind,
-// registered against one registry so a single disk directory persists
-// every family across restarts.
+// per-stage compiled-program and execution kinds, registered against one
+// registry so a single disk directory persists every family across
+// restarts.
 func artifactCodec() artifact.DiskCodec {
 	reg := artifact.NewCodecRegistry()
 	reg.Register(kindAnnotate, artifact.Codec{Encode: encodeAnnotated, Decode: decodeAnnotated})
 	reg.Register(kindCompile, artifact.Codec{Encode: encodeCompiled, Decode: decodeCompiled})
 	pipeline.RegisterWire(reg)
-	heapdump.RegisterWire(reg)
 	return reg.DiskCodec()
 }
 
@@ -56,7 +52,7 @@ func encodeAnnotated(key artifact.Key, v any) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return gobBytes(&wireAnnotated{
+	return artifact.GobBytes(&wireAnnotated{
 		Output:     a.output,
 		Warnings:   a.warnings,
 		Inserted:   a.inserted,
@@ -69,7 +65,7 @@ func encodeAnnotated(key artifact.Key, v any) ([]byte, bool) {
 
 func decodeAnnotated(data []byte) (any, int64, error) {
 	var w wireAnnotated
-	if err := gobDecode(data, &w); err != nil {
+	if err := artifact.GobDecode(data, &w); err != nil {
 		return nil, 0, err
 	}
 	return &annotated{
@@ -88,28 +84,16 @@ func encodeCompiled(key artifact.Key, v any) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return gobBytes(&wireCompiled{Prog: c.prog, Size: c.accounted})
+	return artifact.GobBytes(&wireCompiled{Prog: c.prog, Size: c.accounted})
 }
 
 func decodeCompiled(data []byte) (any, int64, error) {
 	var w wireCompiled
-	if err := gobDecode(data, &w); err != nil {
+	if err := artifact.GobDecode(data, &w); err != nil {
 		return nil, 0, err
 	}
 	if w.Prog == nil || len(w.Prog.Funcs) == 0 {
 		return nil, 0, fmt.Errorf("compile artifact with no code")
 	}
 	return &compiled{prog: w.Prog, size: w.Prog.Size(), accounted: w.Size}, w.Size, nil
-}
-
-func gobBytes(v any) ([]byte, bool) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, false
-	}
-	return buf.Bytes(), true
-}
-
-func gobDecode(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
 }
