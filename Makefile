@@ -1,11 +1,11 @@
 # Development gates for the gcsafety reproduction.
 #
-#   make check        the full pre-merge gate: gofmt, vet, build, the short
-#                     test suite under the race detector, the full test
-#                     suite, the benchmark module's tests, bench-smoke, a
-#                     10-second native-fuzzing smoke run per fuzz target,
-#                     and the pipeline-, elision-, serve-, chaos-, heapdump-
-#                     and cluster-smoke gates
+#   make check        the full pre-merge gate: gofmt, vet, the run-path
+#                     lint, build, the short test suite under the race
+#                     detector, the full test suite, the benchmark module's
+#                     tests, bench-smoke, a 10-second native-fuzzing smoke
+#                     run per fuzz target, and the pipeline-, elision-,
+#                     serve-, chaos-, heapdump- and cluster-smoke gates
 #   make test         tier-1: exactly what CI runs (see ROADMAP.md)
 #   make benchmark-test  the benchmark module's own tests (cd benchmark &&
 #                     go test ./...), which gate testdata/tables.golden;
@@ -37,6 +37,9 @@
 #                     the real ccrun binary with -heap-dump and the daemon's
 #                     /v1/heapdump — and assert the two snapshots agree on
 #                     live-object count and live bytes
+#   make run-path-lint  fail when non-test code outside internal/interp,
+#                     internal/pipeline, cmd/peephole and benchmark/ calls
+#                     the interpreter directly instead of Runner.Execute
 #   make cluster-smoke  the distributed availability gate: 3 peered gcsafed
 #                     nodes under loadgen's mixed load with chaos fault
 #                     rotation, one node killed -9 mid-run; requires ≥99%
@@ -47,9 +50,9 @@ GO ?= go
 FUZZPKG := ./internal/fuzz
 FUZZTARGETS := FuzzDifferential FuzzParserRoundtrip FuzzFaultInjection FuzzTemporalDifferential
 
-.PHONY: check fmt-check vet build test benchmark-test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke
+.PHONY: check fmt-check vet build test benchmark-test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke run-path-lint
 
-check: fmt-check vet build race test benchmark-test bench-smoke fuzz-smoke pipeline-smoke elision-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
+check: fmt-check vet run-path-lint build race test benchmark-test bench-smoke fuzz-smoke pipeline-smoke elision-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
 
 fmt-check:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -58,6 +61,18 @@ fmt-check:
 
 vet:
 	$(GO) vet ./...
+
+# One run path: every run in the program goes through the pipeline's
+# Execute stage (Runner.Execute), which keys, caches and prices it. Only
+# the interpreter itself, the pipeline, cmd/peephole's before/after
+# comparison and the benchmark module call it directly.
+run-path-lint:
+	@hits=$$(git grep --untracked -n -E 'interp\.Run(Context)?\(' -- '*.go' ':!*_test.go' \
+		':!internal/interp/' ':!internal/pipeline/' ':!cmd/peephole/' ':!benchmark/'); \
+	if [ -n "$$hits" ]; then \
+		echo "run-path-lint: run through pipeline.Runner.Execute, not the interpreter:"; \
+		echo "$$hits"; exit 1; \
+	fi
 
 build:
 	$(GO) build ./...

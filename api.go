@@ -157,22 +157,25 @@ func BuildWithReport(name, src string, p Pipeline) (*machine.Program, *gcsafe.Re
 // annotation result may be shared with other builds via the artifact
 // cache and must not be mutated.
 func BuildWithReportContext(ctx context.Context, name, src string, p Pipeline) (*machine.Program, *gcsafe.Result, *BuildReport, error) {
-	res, err := buildPipeline(ctx, name, src, p)
+	res, _, err := p.build(ctx, name, src)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	return res.Prog, res.Annotate, res.Report, nil
 }
 
-// buildPipeline is the shared staged-build core: it resolves the machine
-// default and normalizes stage errors.
-func buildPipeline(ctx context.Context, name, src string, p Pipeline) (*pipeline.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("build: %w", err)
-	}
+// build is the shared staged-build core: it builds p on the SPARCstation
+// 10 unless p names a machine, normalizes stage errors, and returns the
+// build with p's run options on the same machine.
+func (p Pipeline) build(ctx context.Context, name, src string) (*pipeline.Result, interp.Options, error) {
 	cfg := machine.SPARCstation10()
 	if p.Machine != nil {
 		cfg = *p.Machine
+	}
+	run := p.Exec
+	run.Config = cfg
+	if err := ctx.Err(); err != nil {
+		return nil, run, fmt.Errorf("build: %w", err)
 	}
 	res, err := defaultRunner.Build(ctx, name, src, pipeline.Options{
 		Annotate:        p.Annotate,
@@ -182,9 +185,9 @@ func buildPipeline(ctx context.Context, name, src string, p Pipeline) (*pipeline
 		Machine:         cfg,
 	})
 	if err != nil {
-		return nil, wrapBuildError(err)
+		return nil, run, wrapBuildError(err)
 	}
-	return res, nil
+	return res, run, nil
 }
 
 // wrapBuildError converts a pipeline StageError into the phase-prefixed
@@ -210,18 +213,14 @@ func Run(name, src string, p Pipeline) (*Result, error) {
 // boundaries and the interpreter polls it between instructions, so a
 // deadline or cancellation bounds the whole pipeline — the robustness
 // contract the gcsafed daemon depends on to survive adversarial inputs.
+// The run is the pipeline's Execute stage: an identical run without
+// faults shares a cached outcome, and Exec is nil when ctx ended the run.
 func RunContext(ctx context.Context, name, src string, p Pipeline) (*Result, error) {
-	bres, err := buildPipeline(ctx, name, src, p)
+	bres, run, err := p.build(ctx, name, src)
 	if err != nil {
 		return nil, err
 	}
-	cfg := machine.SPARCstation10()
-	if p.Machine != nil {
-		cfg = *p.Machine
-	}
-	ex := p.Exec
-	ex.Config = cfg
-	res, err := interp.RunContext(ctx, bres.Prog, ex)
+	res, _, err := defaultRunner.Execute(ctx, bres.Prog, bres.Key, run)
 	return &Result{Exec: res, Program: bres.Prog, Annotate: bres.Annotate, Report: bres.Report}, err
 }
 

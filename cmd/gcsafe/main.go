@@ -58,17 +58,15 @@ func main() {
 		StrictCastWarnings: *strict,
 		Elide:              *elide,
 	}
-	switch *mode {
-	case "safe":
-		opts.Mode = gcsafe.ModeSafe
-	case "check", "checked":
-		opts.Mode = gcsafe.ModeChecked
-	case "temporal":
-		opts.Mode = gcsafe.ModeTemporal
-	default:
+	if *mode == "check" {
+		*mode = "checked" // the flag's historical spelling
+	}
+	m, ok := gcsafe.ParseMode(*mode)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "gcsafe: unknown -mode %q\n", *mode)
 		os.Exit(2)
 	}
+	opts.Mode = m
 	switch *style {
 	case "macro":
 		opts.Style = gcsafe.EmitMacro

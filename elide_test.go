@@ -205,12 +205,9 @@ func TestElisionKeepsDetections(t *testing.T) {
 		}
 		found++
 		for _, elide := range []bool{false, true} {
-			r, err := fuzz.RunTreatment(p, fuzz.Treatment{
-				Machine:  machine.SPARCstation10(),
-				Annotate: fuzz.AnnotateTemporal,
-				Optimize: true,
-				Elide:    elide,
-			})
+			var tr fuzz.Treatment
+			tr.Machine, tr.Annotate, tr.Optimize, tr.Elide, tr.Temporal = "ss10", "temporal", true, elide, true
+			r, err := fuzz.RunTreatment(p, tr)
 			if err != nil {
 				t.Fatalf("seed %d elide=%v: %v", seed, elide, err)
 			}

@@ -62,5 +62,7 @@ func (b *KeyBuilder) Uint(v uint64) *KeyBuilder {
 // Sum finalizes the key.
 func (b *KeyBuilder) Sum() Key {
 	sum := sha256.Sum256(b.buf)
-	return Key(hex.EncodeToString(sum[:]))
+	var dst [2 * sha256.Size]byte
+	hex.Encode(dst[:], sum[:])
+	return Key(dst[:])
 }

@@ -125,36 +125,33 @@ func ResetCache() {
 	cellCompiles.Store(0)
 }
 
-// options spells one cell as the pipeline's build options and the
-// executor's run options: the two halves every cell key derives from.
+// options spells one cell as a treatment Spec and converts it into the
+// pipeline's build options and the executor's run options: the two
+// halves every cell key derives from. The cell's machine is already a
+// configuration, so it goes in after the conversion, whose names here
+// are all the Spec's own; an ablation's annotator switches and the
+// retained-heap profile are the harness's, applied on top too.
 func options(w workloads.Workload, tr Treatment, cfg machine.Config) (pipeline.Options, interp.Options) {
-	ann := gcsafe.Options{}
+	var spec pipeline.Spec
+	spec.Optimize, spec.Post, spec.Elide = tr.Optimize, tr.Post, tr.Elide
+	switch {
+	case !tr.Annotate:
+	case tr.Temporal:
+		spec.Annotate = "temporal"
+	case tr.Checked:
+		spec.Annotate = "checked"
+	default:
+		spec.Annotate = "safe"
+	}
+	spec.Input, spec.Temporal, spec.Threads, spec.SchedSeed = w.Input, tr.Temporal, tr.Threads, tr.SchedSeed
+	build, run, _ := spec.Options()
+	build.Machine, run.Config = cfg, cfg
 	if tr.Gcsafe != nil {
-		ann = *tr.Gcsafe
+		ann := *tr.Gcsafe
+		ann.Mode, ann.Elide = build.AnnotateOptions.Mode, ann.Elide || tr.Elide
+		build.AnnotateOptions = ann
 	}
-	if tr.Temporal {
-		ann.Mode = gcsafe.ModeTemporal
-	} else if tr.Checked {
-		ann.Mode = gcsafe.ModeChecked
-	}
-	if tr.Elide {
-		ann.Elide = true
-	}
-	build := pipeline.Options{
-		Annotate:        tr.Annotate,
-		AnnotateOptions: ann,
-		Optimize:        tr.Optimize,
-		Post:            tr.Post,
-		Machine:         cfg,
-	}
-	run := interp.Options{
-		Config:      cfg,
-		Input:       w.Input,
-		Temporal:    tr.Temporal,
-		Threads:     tr.Threads,
-		SchedSeed:   tr.SchedSeed,
-		HeapProfile: profiled(tr, cfg),
-	}
+	run.HeapProfile = profiled(tr, cfg)
 	return build, run
 }
 

@@ -118,6 +118,8 @@ done:
 }
 
 func (p *Parser) parseStructSpecifier() types.Type {
+	p.nest()
+	defer p.unnest()
 	union := p.tok.Kind == token.KwUnion
 	p.next()
 	tag := ""
@@ -217,6 +219,8 @@ func (p *Parser) parseEnumSpecifier() types.Type {
 // declared name (possibly empty for abstract declarators), its type and the
 // name position.
 func (p *Parser) parseDeclarator(base types.Type) (string, types.Type, token.Pos) {
+	p.nest()
+	defer p.unnest()
 	for {
 		if _, ok := p.accept(token.Star); ok {
 			for p.tok.Kind == token.KwConst || p.tok.Kind == token.KwVolatile {
@@ -322,6 +326,8 @@ func (p *Parser) parseDeclChain() *declChain {
 
 // parseDeclSuffixes parses array and parameter-list suffixes.
 func (p *Parser) parseDeclSuffixes(base types.Type) types.Type {
+	p.nest()
+	defer p.unnest()
 	switch p.tok.Kind {
 	case token.LBracket:
 		p.next()

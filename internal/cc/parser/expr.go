@@ -25,6 +25,8 @@ func (p *Parser) parseExpr() ast.Expr {
 }
 
 func (p *Parser) parseAssignExpr() ast.Expr {
+	p.nest()
+	defer p.unnest()
 	l := p.parseCondExpr()
 	if !p.tok.Kind.IsAssign() {
 		return l
@@ -44,6 +46,8 @@ func (p *Parser) parseAssignExpr() ast.Expr {
 }
 
 func (p *Parser) parseCondExpr() ast.Expr {
+	p.nest()
+	defer p.unnest()
 	c := p.parseBinaryExpr(1)
 	if p.tok.Kind != token.Question {
 		return c
@@ -169,6 +173,8 @@ func (p *Parser) typeBinary(pos token.Pos, op token.Kind, x, y ast.Expr) ast.Exp
 }
 
 func (p *Parser) parseCastExpr() ast.Expr {
+	p.nest()
+	defer p.unnest()
 	if p.tok.Kind == token.LParen && p.startsTypeAfterLParen() {
 		lp := p.tok.Pos
 		p.next()
@@ -210,6 +216,8 @@ func (p *Parser) startsTypeAfterLParen() bool {
 }
 
 func (p *Parser) parseUnaryExpr() ast.Expr {
+	p.nest()
+	defer p.unnest()
 	pos := p.tok.Pos
 	switch p.tok.Kind {
 	case token.Inc, token.Dec:

@@ -83,9 +83,28 @@ type Parser struct {
 	scopes []*scope
 	cur    *ast.FuncDecl
 	seq    int
+	depth  int // current nesting, see nest
 }
 
 type bailout struct{}
+
+// maxNesting bounds the nesting of the parser's recursive constructs:
+// assignment, conditional, cast and unary expressions, statements,
+// declarators and structure bodies. A parenthesized expression takes four
+// levels, so about 1,000 parentheses nest (C11 asks for 63), and a hostile
+// source fails the parse long before it overflows the Go stack.
+const maxNesting = 4096
+
+// nest enters one level of nesting; the caller defers p.unnest().
+func (p *Parser) nest() {
+	p.depth++
+	if p.depth > maxNesting {
+		p.errorf(p.tok.Pos, "nesting exceeds %d levels", maxNesting)
+		panic(bailout{})
+	}
+}
+
+func (p *Parser) unnest() { p.depth-- }
 
 func (p *Parser) errorf(pos token.Pos, format string, args ...any) {
 	if len(p.errs) > 100 {

@@ -58,6 +58,8 @@ func (p *Parser) skipToStmtBoundary() {
 }
 
 func (p *Parser) parseStmt() ast.Stmt {
+	p.nest()
+	defer p.unnest()
 	switch p.tok.Kind {
 	case token.LBrace:
 		return p.parseBlock()

@@ -4,58 +4,22 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"gcsafety/internal/artifact"
 	"gcsafety/internal/faultinject"
 	"gcsafety/internal/gc"
-	"gcsafety/internal/gcsafe"
 	"gcsafety/internal/interp"
 	"gcsafety/internal/machine"
 	"gcsafety/internal/par"
 	"gcsafety/internal/pipeline"
 )
 
-// Annotation selects the preprocessing treatment of a program.
-type Annotation int
-
-// Annotation treatments.
-const (
-	// AnnotateNone compiles the program as written (GC-unsafe when
-	// optimized).
-	AnnotateNone Annotation = iota
-	// AnnotateSafe runs the KEEP_LIVE annotator (the paper's production
-	// mode).
-	AnnotateSafe
-	// AnnotateChecked runs the annotator in pointer-checking mode (the
-	// paper's debugging mode).
-	AnnotateChecked
-	// AnnotateTemporal runs the annotator in temporal mode: checked-mode
-	// GC_same_obj insertion plus free→GC_free rewriting, executed with the
-	// interpreter's allocation-epoch tags armed, so use-after-free and
-	// double-free become deterministic checker violations.
-	AnnotateTemporal
-)
-
-func (a Annotation) String() string {
-	switch a {
-	case AnnotateSafe:
-		return "safe"
-	case AnnotateChecked:
-		return "checked"
-	case AnnotateTemporal:
-		return "temporal"
-	}
-	return "none"
-}
-
-// Treatment is one cell of the differential matrix: a full compilation and
-// execution configuration.
+// Treatment is one cell of the differential matrix: a treatment Spec,
+// built and run under the matrix's collection regime (see runTreatment).
 type Treatment struct {
-	Machine  machine.Config
-	Annotate Annotation
-	Optimize bool
-	Post     bool // peephole postprocessor
+	pipeline.Spec
 	// Adversarial runs under the maximally hostile collection schedule: a
 	// forced collection at every allocation and between every two
 	// instructions, with the premature-reclamation detector armed. For
@@ -63,18 +27,31 @@ type Treatment struct {
 	// every allocation and at every context switch instead — the same
 	// adversary generalized to adversarial interleavings.
 	Adversarial bool
-	// Threads, when > 1, runs the program as N concurrent mutator threads
-	// over one shared heap (thread 0 is main; thread i runs the program's
-	// threadN function if defined) under a deterministic seeded
-	// interleaving.
-	Threads int
-	// SchedSeed seeds the interleaving schedule for concurrent treatments.
-	SchedSeed uint64
-	// Elide runs the annotator with the liveness-based elision analysis
-	// on. Elided treatments are paired with their unelided twins in the
-	// matrix: both must reproduce the model, so any elision that changes
-	// behavior — or drops a check that should fire — is a violation.
-	Elide bool
+}
+
+// cell is the benign treatment of one build on machine m: annotate is a
+// Spec annotation name, "" for none. A temporal build runs with the
+// epoch checker armed.
+func cell(m, annotate string, optimize, post bool) Treatment {
+	var t Treatment
+	t.Machine, t.Annotate, t.Optimize, t.Post = m, annotate, optimize, post
+	t.Temporal = annotate == "temporal"
+	return t
+}
+
+func (t Treatment) elided() Treatment {
+	t.Elide = true
+	return t
+}
+
+func (t Treatment) adversarial() Treatment {
+	t.Adversarial = true
+	return t
+}
+
+func (t Treatment) concurrent() Treatment {
+	t.Threads, t.SchedSeed = concThreads, defaultSchedSeed
+	return t
 }
 
 // defaultSchedSeed is the fixed interleaving seed of the standard
@@ -90,14 +67,14 @@ const concThreads = 4
 // Name is a compact human-readable treatment label.
 func (t Treatment) Name() string {
 	var b strings.Builder
-	b.WriteString(t.Machine.ShortName())
+	b.WriteString(t.Machine)
 	if t.Optimize {
 		b.WriteString("/-O")
 	} else {
 		b.WriteString("/-g")
 	}
-	if t.Annotate != AnnotateNone {
-		b.WriteString(" " + t.Annotate.String())
+	if t.Annotated() {
+		b.WriteString(" " + t.Annotate)
 	}
 	if t.Elide {
 		b.WriteString(" elided")
@@ -118,7 +95,7 @@ func (t Treatment) Name() string {
 // model output. Only the unannotated optimized build — the configuration
 // the paper demonstrates is not GC-safe — is exempt.
 func (t Treatment) MustAgree() bool {
-	return !(t.Annotate == AnnotateNone && t.Optimize)
+	return t.Annotated() || !t.Optimize
 }
 
 // TreatmentResult is the outcome of running one treatment.
@@ -153,7 +130,9 @@ type MatrixOptions struct {
 	// than whether treatments agree. A must-agree treatment that faults
 	// under injection surfaces as an ordinary violation, which is exactly
 	// what makes fault campaigns deterministic regression tests for the
-	// error paths.
+	// error paths. Every treatment fires the one Set, so a faulted matrix
+	// runs its treatments one at a time, in treatment order, whatever
+	// Parallel says.
 	Faults *faultinject.Set
 	// Parallel is how many treatments run concurrently (0 = the shared
 	// default: GCSAFETY_PARALLEL, else GOMAXPROCS). Treatments are
@@ -245,67 +224,60 @@ func Treatments(opt MatrixOptions) []Treatment {
 	if len(machines) == 0 {
 		machines = machine.Configs()
 	}
+	m0 := machines[0].ShortName()
 	var ts []Treatment
 	for _, cfg := range machines {
-		for _, ann := range []Annotation{AnnotateNone, AnnotateSafe, AnnotateChecked} {
+		for _, ann := range []string{"", "safe", "checked"} {
 			for _, optimize := range []bool{false, true} {
 				for _, post := range []bool{false, true} {
-					ts = append(ts, Treatment{Machine: cfg, Annotate: ann, Optimize: optimize, Post: post})
+					ts = append(ts, cell(cfg.ShortName(), ann, optimize, post))
 				}
 			}
 		}
 	}
-	if !opt.SkipAdversarial {
-		for _, cfg := range machines {
-			ts = append(ts,
-				Treatment{Machine: cfg, Annotate: AnnotateSafe, Optimize: true, Adversarial: true},
-				Treatment{Machine: cfg, Annotate: AnnotateSafe, Optimize: true, Post: true, Adversarial: true},
-				Treatment{Machine: cfg, Annotate: AnnotateNone, Optimize: true, Adversarial: true},
-			)
-		}
+	for _, cfg := range machines {
+		m := cfg.ShortName()
 		ts = append(ts,
-			Treatment{Machine: machines[0], Annotate: AnnotateNone, Adversarial: true},
-			Treatment{Machine: machines[0], Annotate: AnnotateChecked, Optimize: true, Adversarial: true},
+			cell(m, "safe", true, false).adversarial(),
+			cell(m, "safe", true, true).adversarial(),
+			cell(m, "", true, false).adversarial(),
 		)
 	}
-	// Elided treatments (first machine): each is the elision twin of a
-	// benign or adversarial cell above, so the matrix differentially tests
-	// that elision preserves behavior — both twins must reproduce the
-	// model, and the elided checked builds must catch everything the
-	// unelided ones do.
 	ts = append(ts,
-		Treatment{Machine: machines[0], Annotate: AnnotateSafe, Optimize: true, Elide: true},
-		Treatment{Machine: machines[0], Annotate: AnnotateSafe, Optimize: true, Post: true, Elide: true},
-		Treatment{Machine: machines[0], Annotate: AnnotateChecked, Elide: true},
-		Treatment{Machine: machines[0], Annotate: AnnotateChecked, Optimize: true, Elide: true},
+		cell(m0, "", false, false).adversarial(),
+		cell(m0, "checked", true, false).adversarial(),
+		// Elided treatments (first machine): each is the elision twin of
+		// a benign or adversarial cell above, so the matrix differentially
+		// tests that elision preserves behavior — both twins must
+		// reproduce the model, and the elided checked builds must catch
+		// everything the unelided ones do.
+		cell(m0, "safe", true, false).elided(),
+		cell(m0, "safe", true, true).elided(),
+		cell(m0, "checked", false, false).elided(),
+		cell(m0, "checked", true, false).elided(),
+		cell(m0, "safe", true, false).adversarial().elided(),
+		cell(m0, "checked", true, false).adversarial().elided(),
 	)
-	if !opt.SkipAdversarial {
-		ts = append(ts,
-			Treatment{Machine: machines[0], Annotate: AnnotateSafe, Optimize: true, Adversarial: true, Elide: true},
-			Treatment{Machine: machines[0], Annotate: AnnotateChecked, Optimize: true, Adversarial: true, Elide: true},
-		)
-	}
 	// Temporal-mode treatments: the optimized build on every machine, plus
 	// the debuggable build on the first.
 	for _, cfg := range machines {
-		ts = append(ts, Treatment{Machine: cfg, Annotate: AnnotateTemporal, Optimize: true})
+		ts = append(ts, cell(cfg.ShortName(), "temporal", true, false))
 	}
-	ts = append(ts, Treatment{Machine: machines[0], Annotate: AnnotateTemporal})
-	// Concurrent-mutator treatments (first machine): N threads over one
-	// shared heap under the fixed deterministic interleaving.
 	ts = append(ts,
-		Treatment{Machine: machines[0], Annotate: AnnotateSafe, Optimize: true, Threads: concThreads, SchedSeed: defaultSchedSeed},
-		Treatment{Machine: machines[0], Annotate: AnnotateSafe, Threads: concThreads, SchedSeed: defaultSchedSeed},
-		Treatment{Machine: machines[0], Annotate: AnnotateChecked, Optimize: true, Threads: concThreads, SchedSeed: defaultSchedSeed},
-		Treatment{Machine: machines[0], Annotate: AnnotateTemporal, Optimize: true, Threads: concThreads, SchedSeed: defaultSchedSeed},
-		Treatment{Machine: machines[0], Annotate: AnnotateNone, Optimize: true, Threads: concThreads, SchedSeed: defaultSchedSeed},
+		cell(m0, "temporal", false, false),
+		// Concurrent-mutator treatments (first machine): N threads over
+		// one shared heap under the fixed deterministic interleaving.
+		cell(m0, "safe", true, false).concurrent(),
+		cell(m0, "safe", false, false).concurrent(),
+		cell(m0, "checked", true, false).concurrent(),
+		cell(m0, "temporal", true, false).concurrent(),
+		cell(m0, "", true, false).concurrent(),
+		cell(m0, "temporal", true, false).adversarial(),
+		cell(m0, "safe", true, false).concurrent().adversarial(),
+		cell(m0, "", true, false).concurrent().adversarial(),
 	)
-	if !opt.SkipAdversarial {
-		ts = append(ts,
-			Treatment{Machine: machines[0], Annotate: AnnotateTemporal, Optimize: true, Adversarial: true},
-			Treatment{Machine: machines[0], Annotate: AnnotateSafe, Optimize: true, Threads: concThreads, SchedSeed: defaultSchedSeed, Adversarial: true},
-			Treatment{Machine: machines[0], Annotate: AnnotateNone, Optimize: true, Threads: concThreads, SchedSeed: defaultSchedSeed, Adversarial: true},
-		)
+	if opt.SkipAdversarial {
+		ts = slices.DeleteFunc(ts, func(t Treatment) bool { return t.Adversarial })
 	}
 	return ts
 }
@@ -325,25 +297,6 @@ func RunTreatmentContext(ctx context.Context, p *Program, t Treatment, maxInstrs
 	return runTreatment(ctx, pipeline.NewRunner(artifact.New(0)), p, t, maxInstrs, nil)
 }
 
-// buildOptions spells the treatment's compilation half as pipeline
-// options.
-func (t Treatment) buildOptions() pipeline.Options {
-	opts := pipeline.Options{
-		Annotate: t.Annotate != AnnotateNone,
-		Optimize: t.Optimize,
-		Post:     t.Post,
-		Machine:  t.Machine,
-	}
-	switch t.Annotate {
-	case AnnotateChecked:
-		opts.AnnotateOptions.Mode = gcsafe.ModeChecked
-	case AnnotateTemporal:
-		opts.AnnotateOptions.Mode = gcsafe.ModeTemporal
-	}
-	opts.AnnotateOptions.Elide = t.Elide
-	return opts
-}
-
 // runTreatment builds and executes one treatment on the matrix's shared
 // stage-graph pipeline: treatments differing only in execution regime
 // (or only in back-end options) reuse cached front-end stages, and
@@ -357,11 +310,15 @@ func runTreatment(ctx context.Context, runner *pipeline.Runner, p *Program, t Tr
 	if err := ctx.Err(); err != nil {
 		return r, fmt.Errorf("matrix: %w", err)
 	}
+	build, run, err := t.Options()
+	if err != nil {
+		return r, err
+	}
 	bctx := ctx
 	if faults != nil {
 		bctx = faultinject.WithContext(ctx, faults)
 	}
-	b, err := runner.Build(bctx, "fuzz.c", p.Source, t.buildOptions())
+	b, err := runner.Build(bctx, "fuzz.c", p.Source, build)
 	if err != nil {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return r, fmt.Errorf("matrix: %w", err)
@@ -376,30 +333,27 @@ func runTreatment(ctx context.Context, runner *pipeline.Runner, p *Program, t Tr
 		}
 		return r, err
 	}
-	exec := interp.Options{
-		Config: t.Machine, Validate: true, MaxInstrs: maxInstrs, Faults: faults,
-		Temporal: t.Annotate == AnnotateTemporal,
-	}
-	if t.Threads > 1 {
-		exec.Threads = t.Threads
-		exec.SchedSeed = t.SchedSeed
-	}
+	// The matrix's regime policy: the detector always armed, the
+	// campaign's step budget and faults, and the collection schedule.
+	run.Validate = true
+	run.MaxInstrs = maxInstrs
+	run.Faults = faults
 	switch {
 	case t.Adversarial && t.Threads > 1:
 		// Concurrent adversary: a full collection at every allocation and at
 		// every context switch, the hostile-interleaving regime.
-		exec.CollectAtEveryAlloc = true
-		exec.CollectAtSwitch = true
+		run.CollectAtEveryAlloc = true
+		run.CollectAtSwitch = true
 	case t.Adversarial:
-		exec.GCEveryInstrs = 1
-		exec.CollectAtEveryAlloc = true
+		run.GCEveryInstrs = 1
+		run.CollectAtEveryAlloc = true
 	default:
 		// Benign but nontrivial schedule: allocation-triggered collections
 		// plus a mild asynchronous tick, so the collector genuinely runs.
-		exec.GCEveryInstrs = 211
-		exec.TriggerBytes = 8 << 10
+		run.GCEveryInstrs = 211
+		run.TriggerBytes = 8 << 10
 	}
-	res, _, err := runner.Execute(bctx, b.Prog, b.Key, exec)
+	res, _, err := runner.Execute(bctx, b.Prog, b.Key, run)
 	if res != nil {
 		r.Output = res.Output
 	}
@@ -431,7 +385,12 @@ func RunMatrixContext(ctx context.Context, p *Program, opt MatrixOptions) (*Matr
 	results := make([]TreatmentResult, len(ts))
 	errs := make([]error, len(ts))
 	width := opt.Parallel
-	if width <= 0 {
+	switch {
+	case opt.Faults != nil:
+		// Every treatment fires the one fault set, so which treatment an
+		// after=N rule hits depends on the order they run in.
+		width = 1
+	case width <= 0:
 		width = par.Default()
 	}
 	// One pipeline per matrix: the treatments of one program share a
@@ -450,7 +409,7 @@ func RunMatrixContext(ctx context.Context, p *Program, opt MatrixOptions) (*Matr
 	for i, t := range ts {
 		r := results[i]
 		m.Results = append(m.Results, r)
-		if t.Annotate == AnnotateTemporal && p.TemporalHazards > 0 {
+		if t.Temporal && p.TemporalHazards > 0 {
 			// The program seeds a use-after-free or double-free: the
 			// temporal checker is required to fire. Anything else —
 			// agreement included — is a missed detection, hence a violation.

@@ -30,10 +30,10 @@ func TestTreatmentsCrossProduct(t *testing.T) {
 			t.Fatalf("duplicate treatment %q", name)
 		}
 		seen[name] = true
-		if tr.Annotate == AnnotateNone && tr.Optimize && tr.MustAgree() {
+		if !tr.Annotated() && tr.Optimize && tr.MustAgree() {
 			t.Fatalf("unannotated optimized treatment %q marked must-agree", name)
 		}
-		if (tr.Annotate != AnnotateNone || !tr.Optimize) && !tr.MustAgree() {
+		if (tr.Annotated() || !tr.Optimize) && !tr.MustAgree() {
 			t.Fatalf("treatment %q should be must-agree", name)
 		}
 	}
@@ -103,7 +103,7 @@ func TestUnannotatedOptimizedReproducesReclamation(t *testing.T) {
 			continue
 		}
 		for _, cfg := range machines {
-			tr := Treatment{Machine: cfg, Annotate: AnnotateNone, Optimize: true, Adversarial: true}
+			tr := cell(cfg.ShortName(), "", true, false).adversarial()
 			r, err := RunTreatment(p, tr)
 			if err != nil {
 				t.Fatalf("harness failure: %v", err)
@@ -124,7 +124,7 @@ func TestUnannotatedOptimizedReproducesReclamation(t *testing.T) {
 func TestSafeSurvivesWhereUnsafeFaults(t *testing.T) {
 	p, bad := findKnownBad(t, 200)
 	safe := bad.Treatment
-	safe.Annotate = AnnotateSafe
+	safe.Annotate = "safe"
 	r, err := RunTreatment(p, safe)
 	if err != nil {
 		t.Fatalf("harness failure: %v", err)
@@ -145,7 +145,7 @@ func findKnownBad(t *testing.T, maxSeeds int64) (*Program, TreatmentResult) {
 			continue
 		}
 		for _, cfg := range machine.Configs() {
-			tr := Treatment{Machine: cfg, Annotate: AnnotateNone, Optimize: true, Adversarial: true}
+			tr := cell(cfg.ShortName(), "", true, false).adversarial()
 			r, err := RunTreatment(p, tr)
 			if err != nil {
 				t.Fatalf("harness failure: %v", err)
@@ -166,7 +166,10 @@ func TestResultKeyIsOptionsKey(t *testing.T) {
 	p := Generate(3, 6)
 	listings := map[artifact.Key]string{}
 	for _, tr := range Treatments(MatrixOptions{}) {
-		o := tr.buildOptions()
+		o, err := tr.BuildOptions()
+		if err != nil {
+			t.Fatal(err)
+		}
 		b, err := pipeline.NewRunner(artifact.New(0)).Build(context.Background(), "fuzz.c", p.Source, o)
 		if err != nil {
 			t.Fatal(err)

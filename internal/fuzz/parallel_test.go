@@ -2,6 +2,8 @@ package fuzz
 
 import (
 	"testing"
+
+	"gcsafety/internal/faultinject"
 )
 
 // TestMatrixParallelDeterministic pins RunMatrix's width-independence: the
@@ -59,6 +61,36 @@ func TestMatrixParallelDeterministicConcurrent(t *testing.T) {
 	compareResults(t, seed, "TemporalDetections", seq.TemporalDetections, par.TemporalDetections)
 	if len(seq.TemporalDetections) == 0 {
 		t.Fatalf("seed %d: no temporal detections despite %d seeded hazards", seed, p.TemporalHazards)
+	}
+}
+
+// TestFaultedMatrixWidthIndependent pins width-independence for a matrix
+// with faults armed: every treatment fires the one fault set, so an
+// after=N rule must hit the same treatment's allocation at any width. Each
+// run gets a freshly parsed set, as a campaign's program does.
+func TestFaultedMatrixWidthIndependent(t *testing.T) {
+	const seed = 3
+	p := Generate(seed, 8)
+	run := func(width int) *MatrixResult {
+		faults, err := faultinject.Parse("gc.alloc=error,after=3,msg=oom", 9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := RunMatrix(p, MatrixOptions{Parallel: width, Faults: faults})
+		if err != nil {
+			t.Fatalf("width %d: %v", width, err)
+		}
+		return m
+	}
+	seq := run(1)
+	if len(seq.Violations) == 0 {
+		t.Fatal("the fault set hit no must-agree treatment; the test exercises nothing")
+	}
+	for i := 0; i < 10; i++ {
+		par := run(8)
+		compareResults(t, seed, "Results", seq.Results, par.Results)
+		compareResults(t, seed, "Violations", seq.Violations, par.Violations)
+		compareResults(t, seed, "UnsafeFailures", seq.UnsafeFailures, par.UnsafeFailures)
 	}
 }
 

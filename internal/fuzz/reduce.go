@@ -94,7 +94,7 @@ func ReduceViolation(p *Program, bad TreatmentResult) string {
 		}
 		// Divergence: compare against the debuggable unannotated build,
 		// which stands in for the model on reduced candidates.
-		ref, err := RunTreatment(cp, Treatment{Machine: bad.Machine})
+		ref, err := RunTreatment(cp, cell(bad.Machine, "", false, false))
 		if err != nil || ref.Err != nil {
 			return false
 		}

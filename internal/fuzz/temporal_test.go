@@ -70,7 +70,7 @@ func TestTemporalNoFalsePositiveOnBenignFree(t *testing.T) {
 		}
 		checked++
 		for _, optimize := range []bool{false, true} {
-			tr := Treatment{Machine: machine.SPARCstation10(), Annotate: AnnotateTemporal, Optimize: optimize}
+			tr := cell("ss10", "temporal", optimize, false)
 			r, err := RunTreatment(p, tr)
 			if err != nil {
 				t.Fatalf("seed %d: harness failure: %v", seed, err)
@@ -92,14 +92,12 @@ func TestTemporalNoFalsePositiveOnBenignFree(t *testing.T) {
 // build faults with the premature-reclamation detector, while the safe
 // build of the same program under the same schedule agrees with the model.
 func TestConcurrentDetectsThreadEscape(t *testing.T) {
-	cfg := machine.SPARCstation10()
 	for seed := int64(0); seed < 500; seed++ {
 		p := Generate(seed, 8)
 		if p.RaceHazards == 0 {
 			continue
 		}
-		unsafe := Treatment{Machine: cfg, Annotate: AnnotateNone, Optimize: true,
-			Threads: concThreads, SchedSeed: defaultSchedSeed, Adversarial: true}
+		unsafe := cell("ss10", "", true, false).concurrent().adversarial()
 		r, err := RunTreatment(p, unsafe)
 		if err != nil {
 			t.Fatalf("seed %d: harness failure: %v", seed, err)
@@ -108,7 +106,7 @@ func TestConcurrentDetectsThreadEscape(t *testing.T) {
 			continue
 		}
 		safe := unsafe
-		safe.Annotate = AnnotateSafe
+		safe.Annotate = "safe"
 		rs, err := RunTreatment(p, safe)
 		if err != nil {
 			t.Fatalf("seed %d: harness failure: %v", seed, err)
@@ -129,14 +127,13 @@ func TestConcurrentDetectsThreadEscape(t *testing.T) {
 // baseline, and the unsafe concurrent adversarial build as the tolerated
 // hazard demonstration.
 func temporalFuzzTreatments() []Treatment {
-	cfg := machine.SPARCstation10()
 	return []Treatment{
-		{Machine: cfg, Annotate: AnnotateTemporal, Optimize: true},
-		{Machine: cfg, Annotate: AnnotateTemporal},
-		{Machine: cfg, Annotate: AnnotateTemporal, Optimize: true, Adversarial: true},
-		{Machine: cfg, Annotate: AnnotateTemporal, Optimize: true, Threads: concThreads, SchedSeed: defaultSchedSeed},
-		{Machine: cfg, Annotate: AnnotateSafe, Optimize: true, Threads: concThreads, SchedSeed: defaultSchedSeed},
-		{Machine: cfg, Annotate: AnnotateNone, Optimize: true, Threads: concThreads, SchedSeed: defaultSchedSeed, Adversarial: true},
+		cell("ss10", "temporal", true, false),
+		cell("ss10", "temporal", false, false),
+		cell("ss10", "temporal", true, false).adversarial(),
+		cell("ss10", "temporal", true, false).concurrent(),
+		cell("ss10", "safe", true, false).concurrent(),
+		cell("ss10", "", true, false).concurrent().adversarial(),
 	}
 }
 
@@ -170,7 +167,7 @@ func FuzzTemporalDifferential(f *testing.F) {
 				t.Fatalf("harness failure [%s]: %v\n%s", tr.Name(), err, p.Source)
 			}
 			switch {
-			case tr.Annotate == AnnotateTemporal && p.TemporalHazards > 0:
+			case tr.Temporal && p.TemporalHazards > 0:
 				if !IsTemporalFault(r.Err) {
 					t.Fatalf("missed temporal detection [%s]: err=%v got=%q\n%s",
 						tr.Name(), r.Err, r.Output, p.Source)

@@ -56,14 +56,26 @@ const (
 	ModeTemporal
 )
 
+// modeNames is the one table of annotation-mode names: every wire field
+// and command-line flag that names a mode reads it through ParseMode.
+var modeNames = [...]string{ModeSafe: "safe", ModeChecked: "checked", ModeTemporal: "temporal"}
+
 func (m Mode) String() string {
-	switch m {
-	case ModeChecked:
-		return "checked"
-	case ModeTemporal:
-		return "temporal"
+	if m >= 0 && int(m) < len(modeNames) {
+		return modeNames[m]
 	}
 	return "safe"
+}
+
+// ParseMode returns the mode called name ("safe", "checked" or
+// "temporal").
+func ParseMode(name string) (Mode, bool) {
+	for m, n := range modeNames {
+		if n == name {
+			return Mode(m), true
+		}
+	}
+	return ModeSafe, false
 }
 
 // Checked reports whether the mode emits run-time GC_same_obj checks

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gcsafety/internal/artifact"
 	"gcsafety/internal/cc/parser"
@@ -610,5 +611,52 @@ func TestPipelineSmokeWarmBuild(t *testing.T) {
 	}
 	if pctHit := fmt.Sprintf("%d/%d", hits, len(res.Report.Stages)); !res.Report.AllHits() {
 		t.Fatalf("warm build stage-cache hits %s, want 100%%: %+v", pctHit, res.Report.Stages)
+	}
+}
+
+// nestedSource is main returning core wrapped in n copies of open and
+// close.
+func nestedSource(open, core, close string, n int) string {
+	return "int main(void) { int x = 1; return " + strings.Repeat(open, n) + core + strings.Repeat(close, n) + "; }"
+}
+
+// TestHostileNestingFailsAtParse: each deeply nested form at about 1 MB
+// (the daemon's body limit) fails the build at the parse stage without
+// overflowing the stack, while nesting ten times deeper than C11 asks for
+// still builds. Each rejection takes well under a second on an idle core
+// (lexing the megabyte is most of it); the bound allows twice that for a
+// loaded host. Under -short (the race run) the forms are a twentieth of
+// the size, still far past the bound.
+func TestHostileNestingFailsAtParse(t *testing.T) {
+	size := func(n int) int {
+		if testing.Short() {
+			return n / 20
+		}
+		return n
+	}
+	opts := Options{Annotate: true, Optimize: true, Machine: machine.SPARCstation10()}
+	for _, c := range []struct{ name, src string }{
+		{"parens", nestedSource("(", "1", ")", size(500_000))},
+		{"prefix", nestedSource("! ", "x", "", size(500_000))},
+		{"casts", nestedSource("(int)", "x", "", size(200_000))},
+		{"assignments", nestedSource("x=", "1", "", size(500_000))},
+		{"conditionals", nestedSource("x?x:", "x", "", size(250_000))},
+		{"blocks", "int main(void) { " + strings.Repeat("{", size(500_000)) + strings.Repeat("}", size(500_000)) + " }"},
+		{"array declarator", "int x" + strings.Repeat("[1]", size(333_000)) + ";"},
+		{"function declarator", "int f" + strings.Repeat("(int (*)", size(110_000)) + "(void)" + strings.Repeat(")", size(110_000)) + ";"},
+	} {
+		start := time.Now()
+		_, err := NewRunner(artifact.New(0)).Build(context.Background(), "deep.c", c.src, opts)
+		var se *StageError
+		if !errors.As(err, &se) || se.Stage != StageParse || !strings.Contains(err.Error(), "nesting exceeds") {
+			t.Errorf("%s (%d bytes): got %v, want a parse-stage nesting error", c.name, len(c.src), err)
+		}
+		if d := time.Since(start); !testing.Short() && d > 2*time.Second {
+			t.Errorf("%s: rejecting took %v", c.name, d)
+		}
+	}
+	src := nestedSource("(", "1", ")", 630)
+	if _, err := NewRunner(artifact.New(0)).Build(context.Background(), "nested.c", src, opts); err != nil {
+		t.Fatalf("630 nested parentheses: %v", err)
 	}
 }

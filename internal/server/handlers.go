@@ -71,14 +71,12 @@ func (req *AnnotateRequest) resolve() (gcsafe.Options, artifact.Key, error) {
 		StrictCastWarnings: req.StrictCasts,
 		Elide:              req.Elide,
 	}
-	switch req.Mode {
-	case "", "safe":
-	case "checked":
-		opts.Mode = gcsafe.ModeChecked
-	case "temporal":
-		opts.Mode = gcsafe.ModeTemporal
-	default:
-		return opts, "", errf(http.StatusBadRequest, "unknown mode %q (want safe, checked or temporal)", req.Mode)
+	if req.Mode != "" {
+		mode, ok := gcsafe.ParseMode(req.Mode)
+		if !ok {
+			return opts, "", errf(http.StatusBadRequest, "unknown mode %q (want safe, checked or temporal)", req.Mode)
+		}
+		opts.Mode = mode
 	}
 	switch req.Style {
 	case "", "macro":
@@ -251,16 +249,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) error {
 type CompileRequest struct {
 	Name   string `json:"name"`
 	Source string `json:"source"`
-	// Machine is ss2, ss10 (default) or p90.
-	Machine string `json:"machine"`
-	// Annotate is "none" (default), "safe", "checked" or "temporal".
-	Annotate string `json:"annotate"`
-	Optimize bool   `json:"optimize"`
-	// Post runs the peephole postprocessor.
-	Post bool `json:"post"`
-	// Elide turns on the liveness-based elision analysis for annotated
-	// treatments.
-	Elide bool `json:"elide"`
+	pipeline.BuildSpec
 	// Listing asks for the assembly listing in the response.
 	Listing bool `json:"listing"`
 }
@@ -283,30 +272,14 @@ type compiled struct {
 	accounted int64
 }
 
-// resolve validates the request's treatment, spells it as pipeline
-// options, and derives the product's cache key: the pipeline's final
-// stage key, under the product's own kind. Machines that differ only in
-// cost model (ss2 and ss10) share one product, as they share one program.
+// resolve converts the request's treatment into pipeline options and
+// derives the product's cache key: the pipeline's final stage key, under
+// the product's own kind. Machines that differ only in cost model (ss2
+// and ss10) share one product, as they share one program.
 func (req *CompileRequest) resolve() (pipeline.Options, artifact.Key, error) {
-	opts := pipeline.Options{Optimize: req.Optimize, Post: req.Post}
-	opts.AnnotateOptions.Elide = req.Elide
-	cfg, err := machineByName(req.Machine)
+	opts, err := req.BuildOptions()
 	if err != nil {
-		return opts, "", err
-	}
-	opts.Machine = cfg
-	switch req.Annotate {
-	case "", "none":
-	case "safe":
-		opts.Annotate = true
-	case "checked":
-		opts.Annotate = true
-		opts.AnnotateOptions.Mode = gcsafe.ModeChecked
-	case "temporal":
-		opts.Annotate = true
-		opts.AnnotateOptions.Mode = gcsafe.ModeTemporal
-	default:
-		return opts, "", errf(http.StatusBadRequest, "unknown annotate %q (want none, safe, checked or temporal)", req.Annotate)
+		return opts, "", errf(http.StatusBadRequest, "%v", err)
 	}
 	return opts, artifact.NewKey("compile").Str(string(opts.Key(unitName(req.Name), req.Source))).Sum(), nil
 }
@@ -367,33 +340,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) error {
 	return nil
 }
 
-// RunRequest compiles (through the cache) and executes a program.
+// RunRequest compiles (through the cache) and executes a program: a
+// treatment Spec plus the request's own bounds.
 type RunRequest struct {
 	CompileRequest
-	// Engine must be "" or "interp", the one executor; any other name is
-	// a 400.
-	Engine string `json:"engine"`
-	// Input is the byte stream consumed by getchar().
-	Input string `json:"input"`
-	// GCEvery triggers a collection every n instructions (async regime).
-	GCEvery uint64 `json:"gc_every"`
-	// CollectAtEveryAlloc forces a collection at every allocation (the
-	// adversarial schedule).
-	CollectAtEveryAlloc bool `json:"collect_at_every_alloc"`
-	// Validate arms the premature-reclamation detector.
-	Validate bool `json:"validate"`
-	// Temporal arms the allocation-epoch checker (use with annotate
-	// "temporal" so frees reach the runtime as GC_free).
-	Temporal bool `json:"temporal"`
-	// Threads > 1 runs the program on the concurrent-mutator simulation.
-	Threads int `json:"threads"`
-	// SchedSeed selects the deterministic interleaving (0 = default).
-	SchedSeed uint64 `json:"sched_seed"`
-	// CollectAtSwitch forces a collection at every context switch (the
-	// adversarial concurrent schedule).
-	CollectAtSwitch bool `json:"collect_at_switch"`
-	// BaseOnly selects the collector's Extensions-section operating mode.
-	BaseOnly bool `json:"base_only"`
+	pipeline.RunSpec
 	// MaxSteps caps executed instructions; clamped to the server ceiling.
 	MaxSteps uint64 `json:"max_steps"`
 	// TimeoutMs caps wall time; clamped to the server ceiling.
@@ -417,18 +368,6 @@ type RunResponse struct {
 	CacheHit    bool   `json:"cache_hit"`
 }
 
-// validate checks the request's execution knobs: the engine name and
-// the thread count.
-func (req *RunRequest) validate() error {
-	if err := checkEngine(req.Engine); err != nil {
-		return err
-	}
-	if req.Threads < 0 || req.Threads > maxRunThreads {
-		return errf(http.StatusBadRequest, "threads %d out of range (max %d)", req.Threads, maxRunThreads)
-	}
-	return nil
-}
-
 // executed is one run request's outcome: the compiled product, the run's
 // result and its own error, which is data to the caller, and whether
 // each came from the cache.
@@ -450,8 +389,8 @@ func (s *Server) execute(r *http.Request, req *RunRequest, heapProfile bool) (*e
 	if err != nil {
 		return nil, err
 	}
-	if err := req.validate(); err != nil {
-		return nil, err
+	if req.Threads < 0 || req.Threads > maxRunThreads {
+		return nil, errf(http.StatusBadRequest, "threads %d out of range (max %d)", req.Threads, maxRunThreads)
 	}
 	x := &executed{}
 	if x.c, x.compileHit, err = s.compile(r.Context(), &req.CompileRequest, opts, key); err != nil {
@@ -463,21 +402,11 @@ func (s *Server) execute(r *http.Request, req *RunRequest, heapProfile bool) (*e
 	}
 	ctx, cancel := s.runContext(r.Context(), req.TimeoutMs)
 	defer cancel()
-	x.res, x.runHit, x.runErr = s.pipeline.Execute(ctx, x.c.prog, key, interp.Options{
-		Config:              opts.Machine,
-		Input:               req.Input,
-		GCEveryInstrs:       req.GCEvery,
-		CollectAtEveryAlloc: req.CollectAtEveryAlloc,
-		Validate:            req.Validate,
-		Temporal:            req.Temporal,
-		Threads:             req.Threads,
-		SchedSeed:           req.SchedSeed,
-		CollectAtSwitch:     req.CollectAtSwitch,
-		BaseOnlyHeap:        req.BaseOnly,
-		MaxInstrs:           steps,
-		Faults:              faultinject.FromContext(r.Context()),
-		HeapProfile:         heapProfile,
-	})
+	run := req.RunOptions(opts.Machine)
+	run.MaxInstrs = steps
+	run.Faults = faultinject.FromContext(r.Context())
+	run.HeapProfile = heapProfile
+	x.res, x.runHit, x.runErr = s.pipeline.Execute(ctx, x.c.prog, key, run)
 	if errors.Is(x.runErr, context.Canceled) || errors.Is(x.runErr, context.DeadlineExceeded) {
 		return nil, x.runErr
 	}
@@ -540,9 +469,6 @@ type MatrixRequest struct {
 	Machines []string `json:"machines"`
 	// SkipAdversarial drops the hostile-schedule runs.
 	SkipAdversarial bool `json:"skip_adversarial"`
-	// Engine must be "" or "interp", the one executor; any other name is
-	// a 400.
-	Engine string `json:"engine"`
 }
 
 // MatrixResponse summarizes the matrix outcome.
@@ -582,14 +508,11 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) error {
 	}
 	var machines []machine.Config
 	for _, name := range req.Machines {
-		cfg, err := machineByName(name)
+		opts, err := pipeline.BuildSpec{Machine: name}.BuildOptions()
 		if err != nil {
-			return err
+			return errf(http.StatusBadRequest, "%v", err)
 		}
-		machines = append(machines, cfg)
-	}
-	if err := checkEngine(req.Engine); err != nil {
-		return err
+		machines = append(machines, opts.Machine)
 	}
 	ctx, cancel := s.runContext(r.Context(), 0)
 	defer cancel()

@@ -35,7 +35,6 @@ import (
 	"gcsafety/internal/artifact"
 	"gcsafety/internal/cluster"
 	"gcsafety/internal/faultinject"
-	"gcsafety/internal/machine"
 	"gcsafety/internal/par"
 	"gcsafety/internal/pipeline"
 )
@@ -489,26 +488,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, http.StatusOK, snap)
-}
-
-// machineByName maps a request's machine name to its configuration; ""
-// selects the SPARCstation 10.
-func machineByName(name string) (machine.Config, error) {
-	if name == "" {
-		name = "ss10"
-	}
-	if cfg, ok := machine.ByName(name); ok {
-		return cfg, nil
-	}
-	return machine.Config{}, errf(http.StatusBadRequest, "unknown machine %q (want ss2, ss10 or p90)", name)
-}
-
-// checkEngine validates a request's "engine" field. The field predates
-// the single executor and stays for wire compatibility: "" and "interp"
-// name the interpreter, anything else is a 400.
-func checkEngine(name string) error {
-	if name != "" && name != "interp" {
-		return errf(http.StatusBadRequest, "unknown engine %q (want interp)", name)
-	}
-	return nil
 }

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"gcsafety/internal/pipeline"
 )
 
 const helloC = `
@@ -172,7 +174,10 @@ func TestCheckWarningsNameTheirOwnFile(t *testing.T) {
 func TestCompileEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, data := postJSON(t, ts.URL+"/v1/compile", CompileRequest{
-		Name: "t.c", Source: helloC, Optimize: true, Annotate: "safe", Post: true, Listing: true,
+		Name:      "t.c",
+		Source:    helloC,
+		Listing:   true,
+		BuildSpec: pipeline.BuildSpec{Optimize: true, Annotate: "safe", Post: true},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
@@ -187,8 +192,8 @@ func TestCompileEndpoint(t *testing.T) {
 func TestRunEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, data := postJSON(t, ts.URL+"/v1/run", RunRequest{
-		CompileRequest: CompileRequest{Name: "t.c", Source: helloC, Optimize: true, Annotate: "safe"},
-		Validate:       true,
+		CompileRequest: CompileRequest{Name: "t.c", Source: helloC, BuildSpec: pipeline.BuildSpec{Optimize: true, Annotate: "safe"}},
+		RunSpec:        pipeline.RunSpec{Validate: true},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
@@ -214,8 +219,8 @@ func TestRunTemporalEndpoint(t *testing.T) {
 }
 `
 	resp, data := postJSON(t, ts.URL+"/v1/run", RunRequest{
-		CompileRequest: CompileRequest{Name: "uaf.c", Source: uafC, Optimize: true, Annotate: "temporal"},
-		Temporal:       true,
+		CompileRequest: CompileRequest{Name: "uaf.c", Source: uafC, BuildSpec: pipeline.BuildSpec{Optimize: true, Annotate: "temporal"}},
+		RunSpec:        pipeline.RunSpec{Temporal: true},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
@@ -228,7 +233,7 @@ func TestRunTemporalEndpoint(t *testing.T) {
 	// The same program with the checker off must still run to completion
 	// (free is a no-op there) — the differential baseline.
 	resp, data = postJSON(t, ts.URL+"/v1/run", RunRequest{
-		CompileRequest: CompileRequest{Name: "uaf.c", Source: uafC, Optimize: true, Annotate: "safe"},
+		CompileRequest: CompileRequest{Name: "uaf.c", Source: uafC, BuildSpec: pipeline.BuildSpec{Optimize: true, Annotate: "safe"}},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
@@ -252,9 +257,8 @@ int main() {
 }
 `
 	resp, data := postJSON(t, ts.URL+"/v1/run", RunRequest{
-		CompileRequest: CompileRequest{Name: "mt.c", Source: mtC, Optimize: true, Annotate: "safe"},
-		Threads:        2,
-		SchedSeed:      7,
+		CompileRequest: CompileRequest{Name: "mt.c", Source: mtC, BuildSpec: pipeline.BuildSpec{Optimize: true, Annotate: "safe"}},
+		RunSpec:        pipeline.RunSpec{Threads: 2, SchedSeed: 7},
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d: %s", resp.StatusCode, data)
@@ -268,8 +272,8 @@ int main() {
 	// request (a cell not compiled yet) must not cost a compile.
 	before := getMetrics(t, ts.URL).Compiles
 	resp, data = postJSON(t, ts.URL+"/v1/run", RunRequest{
-		CompileRequest: CompileRequest{Name: "mt.c", Source: mtC, Optimize: true},
-		Threads:        1000,
+		CompileRequest: CompileRequest{Name: "mt.c", Source: mtC, BuildSpec: pipeline.BuildSpec{Optimize: true}},
+		RunSpec:        pipeline.RunSpec{Threads: 1000},
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("threads=1000: status = %d, want 400: %s", resp.StatusCode, data)
@@ -279,32 +283,28 @@ int main() {
 	}
 }
 
-// TestEngineField pins the wire contract of the "engine" field on
-// /v1/run and /v1/matrix: "" and "interp" name the one executor, any
-// other name is a 400.
+// TestEngineField pins the wire contract of the retired "engine" field:
+// /v1/run, /v1/heapdump and /v1/matrix reject it as an unknown field,
+// whatever its value, and answer the same body without it.
 func TestEngineField(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, c := range []struct {
-		engine string
-		want   int
-	}{{"", http.StatusOK}, {"interp", http.StatusOK}, {"threaded", http.StatusBadRequest}} {
-		resp, data := postJSON(t, ts.URL+"/v1/run", map[string]any{
-			"name": "t.c", "source": helloC, "optimize": true, "engine": c.engine,
-		})
-		if resp.StatusCode != c.want {
-			t.Errorf("/v1/run engine %q: status = %d, want %d: %s", c.engine, resp.StatusCode, c.want, data)
+		path string
+		body map[string]any
+	}{
+		{"/v1/run", map[string]any{"name": "t.c", "source": helloC, "optimize": true}},
+		{"/v1/heapdump", map[string]any{"name": "t.c", "source": helloC, "optimize": true}},
+		{"/v1/matrix", map[string]any{"seed": 1, "steps": 2, "machines": []string{"ss10"}, "skip_adversarial": true}},
+	} {
+		if resp, data := postJSON(t, ts.URL+c.path, c.body); resp.StatusCode != http.StatusOK {
+			t.Errorf("%s without engine: status = %d, want 200: %s", c.path, resp.StatusCode, data)
 		}
-		resp, data = postJSON(t, ts.URL+"/v1/heapdump", map[string]any{
-			"name": "t.c", "source": helloC, "optimize": true, "engine": c.engine,
-		})
-		if resp.StatusCode != c.want {
-			t.Errorf("/v1/heapdump engine %q: status = %d, want %d: %s", c.engine, resp.StatusCode, c.want, data)
-		}
-		resp, data = postJSON(t, ts.URL+"/v1/matrix", map[string]any{
-			"seed": 1, "steps": 2, "machines": []string{"ss10"}, "skip_adversarial": true, "engine": c.engine,
-		})
-		if resp.StatusCode != c.want {
-			t.Errorf("/v1/matrix engine %q: status = %d, want %d: %s", c.engine, resp.StatusCode, c.want, data)
+		for _, engine := range []string{"", "interp", "threaded"} {
+			c.body["engine"] = engine
+			resp, data := postJSON(t, ts.URL+c.path, c.body)
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), `unknown field \"engine\"`) {
+				t.Errorf("%s engine %q: status = %d, want 400 naming the field: %s", c.path, engine, resp.StatusCode, data)
+			}
 		}
 	}
 }
@@ -312,7 +312,7 @@ func TestEngineField(t *testing.T) {
 func TestRunStepLimit(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, data := postJSON(t, ts.URL+"/v1/run", RunRequest{
-		CompileRequest: CompileRequest{Name: "loop.c", Source: loopC, Optimize: true},
+		CompileRequest: CompileRequest{Name: "loop.c", Source: loopC, BuildSpec: pipeline.BuildSpec{Optimize: true}},
 		MaxSteps:       5000,
 	})
 	if resp.StatusCode != http.StatusOK {
@@ -331,7 +331,7 @@ func TestRunStepLimit(t *testing.T) {
 func TestRunTimeout(t *testing.T) {
 	_, ts := newTestServer(t, Config{RunTimeout: 50 * time.Millisecond})
 	resp, data := postJSON(t, ts.URL+"/v1/run", RunRequest{
-		CompileRequest: CompileRequest{Name: "loop.c", Source: loopC, Optimize: true},
+		CompileRequest: CompileRequest{Name: "loop.c", Source: loopC, BuildSpec: pipeline.BuildSpec{Optimize: true}},
 	})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status = %d, want 504: %s", resp.StatusCode, data)
@@ -407,7 +407,7 @@ func TestMethodNotAllowed(t *testing.T) {
 // request must be rejected, not executed.
 func TestCanceledContext(t *testing.T) {
 	s := New(Config{})
-	body, _ := json.Marshal(CompileRequest{Name: "t.c", Source: helloC, Optimize: true})
+	body, _ := json.Marshal(CompileRequest{Name: "t.c", Source: helloC, BuildSpec: pipeline.BuildSpec{Optimize: true}})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	req := httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)).WithContext(ctx)
@@ -428,7 +428,9 @@ func TestCompileStampede(t *testing.T) {
 	s, ts := newTestServer(t, Config{QueueDepth: 256})
 	const n = 100
 	body, _ := json.Marshal(CompileRequest{
-		Name: "stampede.c", Source: helloC, Optimize: true, Annotate: "safe", Post: true,
+		Name:      "stampede.c",
+		Source:    helloC,
+		BuildSpec: pipeline.BuildSpec{Optimize: true, Annotate: "safe", Post: true},
 	})
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -477,7 +479,7 @@ func TestCompileStampede(t *testing.T) {
 // artifact (and vice versa): same key space, no recompilation.
 func TestRunSharesCompiledArtifact(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	req := CompileRequest{Name: "t.c", Source: helloC, Optimize: true, Annotate: "safe"}
+	req := CompileRequest{Name: "t.c", Source: helloC, BuildSpec: pipeline.BuildSpec{Optimize: true, Annotate: "safe"}}
 	if resp, data := postJSON(t, ts.URL+"/v1/compile", req); resp.StatusCode != http.StatusOK {
 		t.Fatalf("compile: %s", data)
 	}
@@ -501,9 +503,8 @@ func TestRunSharesCompiledArtifact(t *testing.T) {
 func TestConcurrentRunsOnSharedProgram(t *testing.T) {
 	_, ts := newTestServer(t, Config{QueueDepth: 128})
 	body, _ := json.Marshal(RunRequest{
-		CompileRequest: CompileRequest{Name: "t.c", Source: helloC, Optimize: true, Annotate: "safe"},
-		Validate:       true,
-		GCEvery:        97,
+		CompileRequest: CompileRequest{Name: "t.c", Source: helloC, BuildSpec: pipeline.BuildSpec{Optimize: true, Annotate: "safe"}},
+		RunSpec:        pipeline.RunSpec{Validate: true, GCEvery: 97},
 	})
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
@@ -530,10 +531,10 @@ func TestMetricsAdvance(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	before := getMetrics(t, ts.URL)
 	postJSON(t, ts.URL+"/v1/run", RunRequest{
-		CompileRequest: CompileRequest{Name: "t.c", Source: helloC, Optimize: true},
+		CompileRequest: CompileRequest{Name: "t.c", Source: helloC, BuildSpec: pipeline.BuildSpec{Optimize: true}},
 	})
 	postJSON(t, ts.URL+"/v1/run", RunRequest{
-		CompileRequest: CompileRequest{Name: "t.c", Source: helloC, Optimize: true},
+		CompileRequest: CompileRequest{Name: "t.c", Source: helloC, BuildSpec: pipeline.BuildSpec{Optimize: true}},
 	})
 	after := getMetrics(t, ts.URL)
 	run := after.Endpoints["/v1/run"]
@@ -606,5 +607,17 @@ func TestPoolRespectsContext(t *testing.T) {
 	defer cancel()
 	if err := p.acquire(ctx); err != context.DeadlineExceeded {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
+	}
+}
+
+// TestDeeplyNestedSourceIs422: a source that nests 500,000 parentheses
+// (about 1 MB, within the body limit) is a parse error, not a stack
+// overflow that kills the daemon.
+func TestDeeplyNestedSourceIs422(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	src := "int main(void) { return " + strings.Repeat("(", 500_000) + "1" + strings.Repeat(")", 500_000) + "; }"
+	resp, data := postJSON(t, ts.URL+"/v1/compile", CompileRequest{Name: "deep.c", Source: src})
+	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), "nesting exceeds") {
+		t.Fatalf("status = %d, want 422 naming the nesting bound: %.200s", resp.StatusCode, data)
 	}
 }
