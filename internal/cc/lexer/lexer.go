@@ -12,6 +12,12 @@ import (
 	"gcsafety/internal/cc/token"
 )
 
+// maxErrs bounds the scan errors a Lexer keeps. Past it, errors are only
+// counted (Dropped): a hostile source with a million bad characters costs
+// a counter, not a million error values, and "(and N more errors)" stays
+// exact.
+const maxErrs = 10
+
 // A Lexer scans C source text into tokens.
 type Lexer struct {
 	src      string
@@ -20,6 +26,7 @@ type Lexer struct {
 	col      int
 	typedefs map[string]bool // names to report as TypeName
 	errs     []error
+	dropped  int // errors reported past maxErrs
 }
 
 // New returns a Lexer over src. typedefs may be nil; the parser registers
@@ -34,10 +41,18 @@ func (l *Lexer) DefineType(name string) { l.typedefs[name] = true }
 // IsType reports whether name is a registered typedef name.
 func (l *Lexer) IsType(name string) bool { return l.typedefs[name] }
 
-// Errs returns the scanning errors encountered so far.
+// Errs returns the first scanning errors encountered so far, at most
+// maxErrs of them.
 func (l *Lexer) Errs() []error { return l.errs }
 
+// Dropped returns how many scanning errors so far Errs does not hold.
+func (l *Lexer) Dropped() int { return l.dropped }
+
 func (l *Lexer) errorf(p token.Pos, format string, args ...any) {
+	if len(l.errs) == maxErrs {
+		l.dropped++
+		return
+	}
 	l.errs = append(l.errs, fmt.Errorf("%s: %s", p, fmt.Sprintf(format, args...)))
 }
 
@@ -117,25 +132,32 @@ func (l *Lexer) skipSpace() {
 	}
 }
 
-// Next scans and returns the next token.
+// Next scans and returns the next token. A character no token starts
+// with is reported and skipped.
 func (l *Lexer) Next() token.Token {
-	l.skipSpace()
-	start := l.pos()
-	if l.off >= len(l.src) {
-		return token.Token{Kind: token.EOF, Pos: start, End: l.off}
+	for {
+		l.skipSpace()
+		start := l.pos()
+		if l.off >= len(l.src) {
+			return token.Token{Kind: token.EOF, Pos: start, End: l.off}
+		}
+		c := l.peek()
+		switch {
+		case isIdentStart(c):
+			return l.scanIdent(start)
+		case isDigit(c):
+			return l.scanNumber(start)
+		case c == '\'':
+			return l.scanChar(start)
+		case c == '"':
+			return l.scanString(start)
+		}
+		if t, ok := l.scanOperator(start); ok {
+			return t
+		}
+		l.advance()
+		l.errorf(start, "unexpected character %q", c)
 	}
-	c := l.peek()
-	switch {
-	case isIdentStart(c):
-		return l.scanIdent(start)
-	case isDigit(c):
-		return l.scanNumber(start)
-	case c == '\'':
-		return l.scanChar(start)
-	case c == '"':
-		return l.scanString(start)
-	}
-	return l.scanOperator(start)
 }
 
 func (l *Lexer) scanIdent(start token.Pos) token.Token {
@@ -309,40 +331,47 @@ func (l *Lexer) scanString(start token.Pos) token.Token {
 	return token.Token{Kind: token.StrLit, Text: l.src[start.Off:l.off], Pos: start, End: l.off, StrVal: sb.String()}
 }
 
-// operator spellings ordered longest-first within each leading character.
-var operators = []struct {
+// operators lists the operator spellings by their first byte, longest
+// first, so scanOperator tries at most four.
+var operators = func() (ops [256][]operator) {
+	for _, op := range []operator{
+		{"...", token.Ellipsis},
+		{"<<=", token.ShlAssign}, {">>=", token.ShrAssign},
+		{"++", token.Inc}, {"--", token.Dec}, {"->", token.Arrow},
+		{"<<", token.Shl}, {">>", token.Shr},
+		{"<=", token.Le}, {">=", token.Ge}, {"==", token.Eq}, {"!=", token.Ne},
+		{"&&", token.AndAnd}, {"||", token.OrOr},
+		{"+=", token.AddAssign}, {"-=", token.SubAssign}, {"*=", token.MulAssign},
+		{"/=", token.DivAssign}, {"%=", token.ModAssign}, {"&=", token.AndAssign},
+		{"|=", token.OrAssign}, {"^=", token.XorAssign},
+		{"+", token.Plus}, {"-", token.Minus}, {"*", token.Star}, {"/", token.Slash},
+		{"%", token.Percent}, {"&", token.Amp}, {"|", token.Pipe}, {"^", token.Caret},
+		{"~", token.Tilde}, {"!", token.Not}, {"<", token.Lt}, {">", token.Gt},
+		{"=", token.Assign}, {"(", token.LParen}, {")", token.RParen},
+		{"{", token.LBrace}, {"}", token.RBrace}, {"[", token.LBracket}, {"]", token.RBracket},
+		{";", token.Semi}, {",", token.Comma}, {":", token.Colon}, {"?", token.Question},
+		{".", token.Dot},
+	} {
+		ops[op.text[0]] = append(ops[op.text[0]], op)
+	}
+	return ops
+}()
+
+type operator struct {
 	text string
 	kind token.Kind
-}{
-	{"...", token.Ellipsis},
-	{"<<=", token.ShlAssign}, {">>=", token.ShrAssign},
-	{"++", token.Inc}, {"--", token.Dec}, {"->", token.Arrow},
-	{"<<", token.Shl}, {">>", token.Shr},
-	{"<=", token.Le}, {">=", token.Ge}, {"==", token.Eq}, {"!=", token.Ne},
-	{"&&", token.AndAnd}, {"||", token.OrOr},
-	{"+=", token.AddAssign}, {"-=", token.SubAssign}, {"*=", token.MulAssign},
-	{"/=", token.DivAssign}, {"%=", token.ModAssign}, {"&=", token.AndAssign},
-	{"|=", token.OrAssign}, {"^=", token.XorAssign},
-	{"+", token.Plus}, {"-", token.Minus}, {"*", token.Star}, {"/", token.Slash},
-	{"%", token.Percent}, {"&", token.Amp}, {"|", token.Pipe}, {"^", token.Caret},
-	{"~", token.Tilde}, {"!", token.Not}, {"<", token.Lt}, {">", token.Gt},
-	{"=", token.Assign}, {"(", token.LParen}, {")", token.RParen},
-	{"{", token.LBrace}, {"}", token.RBrace}, {"[", token.LBracket}, {"]", token.RBracket},
-	{";", token.Semi}, {",", token.Comma}, {":", token.Colon}, {"?", token.Question},
-	{".", token.Dot},
 }
 
-func (l *Lexer) scanOperator(start token.Pos) token.Token {
+// scanOperator scans the longest operator at the cursor; ok is false when
+// no operator starts there.
+func (l *Lexer) scanOperator(start token.Pos) (t token.Token, ok bool) {
 	rest := l.src[l.off:]
-	for _, op := range operators {
+	for _, op := range operators[rest[0]] {
 		if strings.HasPrefix(rest, op.text) {
-			for range op.text {
-				l.advance()
-			}
-			return token.Token{Kind: op.kind, Text: op.text, Pos: start, End: l.off}
+			l.off += len(op.text)
+			l.col += len(op.text)
+			return token.Token{Kind: op.kind, Text: op.text, Pos: start, End: l.off}, true
 		}
 	}
-	c := l.advance()
-	l.errorf(start, "unexpected character %q", c)
-	return l.Next()
+	return token.Token{}, false
 }

@@ -1,6 +1,7 @@
 package lexer
 
 import (
+	"strings"
 	"testing"
 
 	"gcsafety/internal/cc/token"
@@ -219,5 +220,35 @@ func TestReplayMatchesLiveLexer(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestErrorFloodIsBounded: a run of bad characters is skipped in a loop,
+// not one call deep per character, and only the first maxErrs errors are
+// kept; the rest are counted, by a live lexer and a replay alike.
+func TestErrorFloodIsBounded(t *testing.T) {
+	const n = 200_000
+	src := "int x;" + strings.Repeat("@", n) + " y @ z"
+	live, r := New(src), ScanAll(src).Replay()
+	for {
+		want, got := live.Next(), r.Next()
+		if got != want {
+			t.Fatalf("replay %+v, live %+v", got, want)
+		}
+		if g, w := len(r.Errs()), len(live.Errs()); g != w {
+			t.Fatalf("replay keeps %d errors, live %d", g, w)
+		}
+		if g, w := r.Dropped(), live.Dropped(); g != w {
+			t.Fatalf("replay dropped %d errors, live %d", g, w)
+		}
+		if want.Kind == token.EOF {
+			break
+		}
+	}
+	if len(live.Errs()) != maxErrs || live.Dropped() != n+1-maxErrs {
+		t.Fatalf("kept %d errors and dropped %d, want %d and %d", len(live.Errs()), live.Dropped(), maxErrs, n+1-maxErrs)
+	}
+	if got := live.Errs()[0].Error(); got != `1:7: unexpected character '@'` {
+		t.Fatalf("first error %q", got)
 	}
 }

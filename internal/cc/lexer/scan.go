@@ -17,11 +17,18 @@ import (
 // A Scan is immutable; Replay hands out independent cursors over it.
 type Scan struct {
 	Tokens []token.Token
-	Errs   []error
+	// Errs holds the first scan errors, at most maxErrs of them, as a
+	// Lexer keeps them.
+	Errs []error
 	// errTok[k] is the index of the token whose scanning reported Errs[k]:
 	// a live lexer has reported Errs[k] once that token is delivered.
 	errTok []int
+	// drops marks, for each token whose scanning reported errors past
+	// Errs, how many such errors the scan had reported through it.
+	drops []drop
 }
+
+type drop struct{ tok, n int }
 
 // ScanAll scans src to EOF. Scanning never fails: malformed input becomes
 // error tokens plus entries in Errs, exactly as with the incremental Lexer.
@@ -37,6 +44,9 @@ func ScanAll(src string) *Scan {
 		for len(s.errTok) < len(l.errs) {
 			s.errTok = append(s.errTok, len(s.Tokens))
 		}
+		if n := len(s.drops); l.dropped > 0 && (n == 0 || s.drops[n-1].n < l.dropped) {
+			s.drops = append(s.drops, drop{tok: len(s.Tokens), n: l.dropped})
+		}
 		s.Tokens = append(s.Tokens, t)
 		if t.Kind == token.EOF {
 			break
@@ -45,6 +55,16 @@ func ScanAll(src string) *Scan {
 	s.Tokens = slices.Clone(s.Tokens)
 	s.Errs = l.Errs()
 	return s
+}
+
+// Size is the scan's charge against an artifact cache's byte budget: its
+// tokens, the errors it keeps and its drop marks.
+func (s *Scan) Size() int64 {
+	n := int64(len(s.Tokens))*48 + int64(len(s.drops))*16 + 64
+	for _, err := range s.Errs {
+		n += int64(len(err.Error())) + 64
+	}
+	return n
 }
 
 // Replay returns a fresh token source over the scan. Each Replay owns its
@@ -89,4 +109,15 @@ func (r *Replay) IsType(name string) bool { return r.typedefs[name] }
 // Errs returns the scan errors attributable to the tokens delivered so far.
 func (r *Replay) Errs() []error {
 	return r.scan.Errs[:sort.SearchInts(r.scan.errTok, r.pos)]
+}
+
+// Dropped returns how many scan errors attributable to the tokens
+// delivered so far Errs does not hold.
+func (r *Replay) Dropped() int {
+	drops := r.scan.drops
+	i := sort.Search(len(drops), func(i int) bool { return drops[i].tok >= r.pos })
+	if i == 0 {
+		return 0
+	}
+	return drops[i-1].n
 }

@@ -22,7 +22,10 @@ type TokenSource interface {
 	Next() token.Token
 	DefineType(name string)
 	IsType(name string) bool
+	// Errs returns the first scan errors of the tokens delivered so far,
+	// and Dropped how many more there were.
 	Errs() []error
+	Dropped() int
 }
 
 // Parse parses a complete translation unit. name is used in diagnostics.
@@ -50,19 +53,23 @@ func ParseTokens(name, src string, ts TokenSource) (*ast.File, error) {
 		p.errs = append(p.errs, fmt.Errorf("%s: %v", name, e))
 	}
 	if len(p.errs) > 0 {
-		return p.file, &ErrorList{Errs: p.errs}
+		return p.file, &ErrorList{Errs: p.errs, Dropped: p.lex.Dropped()}
 	}
 	return p.file, nil
 }
 
-// ErrorList aggregates parse and type errors.
-type ErrorList struct{ Errs []error }
+// ErrorList aggregates parse and type errors. Dropped counts the scan
+// errors past the ones the lexer keeps, which Errs does not hold.
+type ErrorList struct {
+	Errs    []error
+	Dropped int
+}
 
 func (e *ErrorList) Error() string {
-	if len(e.Errs) == 1 {
-		return e.Errs[0].Error()
+	if more := len(e.Errs) - 1 + e.Dropped; more > 0 {
+		return fmt.Sprintf("%v (and %d more errors)", e.Errs[0], more)
 	}
-	return fmt.Sprintf("%v (and %d more errors)", e.Errs[0], len(e.Errs)-1)
+	return e.Errs[0].Error()
 }
 
 // scope is one lexical scope: ordinary identifiers, typedef names and

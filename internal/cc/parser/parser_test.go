@@ -1,6 +1,7 @@
 package parser
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -413,5 +414,20 @@ int good2() { return 2; }
 `)
 	if err == nil {
 		t.Fatal("expected error")
+	}
+}
+
+// TestDroppedScanErrorsAreCounted: the error text counts every scan
+// error, also those the lexer does not keep.
+func TestDroppedScanErrorsAreCounted(t *testing.T) {
+	for _, n := range []int{1, 2, 10, 11, 100_000} {
+		_, err := Parse("at.c", "int main(void) { return 0; }"+strings.Repeat("@", n))
+		want := "at.c: 1:29: unexpected character '@'"
+		if n > 1 {
+			want += fmt.Sprintf(" (and %d more errors)", n-1)
+		}
+		if err == nil || err.Error() != want {
+			t.Errorf("%d bad characters: got %v, want %s", n, err, want)
+		}
 	}
 }

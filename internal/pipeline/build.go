@@ -181,7 +181,7 @@ func AnnotateKey(name, src string, opts gcsafe.Options) artifact.Key {
 func (r *Runner) frontEnd(ctx context.Context, name, src string, k keys, rep *BuildReport) (*checked, error) {
 	v, _, err := r.run(ctx, StageLex, k.lex, rep, func() (any, int64, error) {
 		s := lexer.ScanAll(src)
-		return s, int64(len(s.Tokens))*48 + 64, nil
+		return s, s.Size(), nil
 	})
 	if err != nil {
 		return nil, &StageError{Stage: StageLex, Err: err}
