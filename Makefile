@@ -1,7 +1,7 @@
 # Development gates for the gcsafety reproduction.
 #
 #   make check        the full pre-merge gate: gofmt, vet, the run-path
-#                     lint, build, the short test suite under the race
+#                     and cache-path lints, build, the short test suite under the race
 #                     detector, the full test suite, the benchmark module's
 #                     tests, bench-smoke, a 10-second native-fuzzing smoke
 #                     run per fuzz target, and the pipeline-, elision-,
@@ -40,6 +40,9 @@
 #   make run-path-lint  fail when non-test code outside internal/interp,
 #                     internal/pipeline, cmd/peephole and benchmark/ calls
 #                     the interpreter directly instead of Runner.Execute
+#   make cache-path-lint  fail when non-test code under internal/server
+#                     calls the artifact cache's GetOrCompute instead of
+#                     serving through the pipeline's ladder
 #   make cluster-smoke  the distributed availability gate: 3 peered gcsafed
 #                     nodes under loadgen's mixed load with chaos fault
 #                     rotation, one node killed -9 mid-run; requires ≥99%
@@ -50,9 +53,9 @@ GO ?= go
 FUZZPKG := ./internal/fuzz
 FUZZTARGETS := FuzzDifferential FuzzParserRoundtrip FuzzFaultInjection FuzzTemporalDifferential
 
-.PHONY: check fmt-check vet build test benchmark-test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke run-path-lint
+.PHONY: check fmt-check vet build test benchmark-test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke run-path-lint cache-path-lint
 
-check: fmt-check vet run-path-lint build race test benchmark-test bench-smoke fuzz-smoke pipeline-smoke elision-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
+check: fmt-check vet run-path-lint cache-path-lint build race test benchmark-test bench-smoke fuzz-smoke pipeline-smoke elision-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
 
 fmt-check:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then \
@@ -71,6 +74,16 @@ run-path-lint:
 		':!internal/interp/' ':!internal/pipeline/' ':!cmd/peephole/' ':!benchmark/'); \
 	if [ -n "$$hits" ]; then \
 		echo "run-path-lint: run through pipeline.Runner.Execute, not the interpreter:"; \
+		echo "$$hits"; exit 1; \
+	fi
+
+# One cache path: gcsafed serves stage artifacts through the pipeline's
+# ladder (Runner.Report, Program, Run and Serve), which holds every
+# caching decision, so the server itself never calls GetOrCompute.
+cache-path-lint:
+	@hits=$$(git grep --untracked -n 'GetOrCompute(' -- 'internal/server/*.go' ':!*_test.go'); \
+	if [ -n "$$hits" ]; then \
+		echo "cache-path-lint: serve through the pipeline's ladder, not the artifact cache:"; \
 		echo "$$hits"; exit 1; \
 	fi
 

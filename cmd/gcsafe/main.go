@@ -32,7 +32,7 @@ import (
 	"os"
 
 	"gcsafety"
-	"gcsafety/internal/gcsafe"
+	"gcsafety/internal/pipeline"
 )
 
 func main() {
@@ -50,36 +50,20 @@ func main() {
 	)
 	flag.Parse()
 
-	opts := gcsafe.Options{
-		NoCopySuppression:  *noOpt1,
-		NoIncDecExpansion:  *noOpt2,
-		BaseHeuristic:      *heuristic,
-		CallSiteOnly:       *callsite,
-		StrictCastWarnings: *strict,
-		Elide:              *elide,
-	}
 	if *mode == "check" {
 		*mode = "checked" // the flag's historical spelling
 	}
-	m, ok := gcsafe.ParseMode(*mode)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "gcsafe: unknown -mode %q\n", *mode)
-		os.Exit(2)
-	}
-	opts.Mode = m
-	switch *style {
-	case "macro":
-		opts.Style = gcsafe.EmitMacro
-	case "asm":
-		opts.Style = gcsafe.EmitAsm
-	default:
-		fmt.Fprintf(os.Stderr, "gcsafe: unknown -style %q\n", *style)
+	opts, err := pipeline.AnnotateSpec{
+		Mode: *mode, Style: *style, NoCopySuppression: *noOpt1, NoIncDecExpansion: *noOpt2,
+		BaseHeuristic: *heuristic, CallSiteOnly: *callsite, StrictCasts: *strict, Elide: *elide,
+	}.AnnotateOptions()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gcsafe: %v\n", err)
 		os.Exit(2)
 	}
 
 	name := "<stdin>"
 	var src []byte
-	var err error
 	if flag.NArg() > 0 {
 		name = flag.Arg(0)
 		src, err = os.ReadFile(name)

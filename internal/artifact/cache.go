@@ -60,14 +60,6 @@ func (c *Cache) AttachDisk(d *Disk, codec DiskCodec) {
 	c.codec = codec
 }
 
-// DiskStats snapshots the attached tier (zero value when none).
-func (c *Cache) DiskStats() DiskStats {
-	if c.disk == nil {
-		return DiskStats{}
-	}
-	return c.disk.Stats()
-}
-
 type entry struct {
 	key  Key
 	val  any

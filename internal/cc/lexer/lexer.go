@@ -12,10 +12,9 @@ import (
 	"gcsafety/internal/cc/token"
 )
 
-// maxErrs bounds the scan errors a Lexer keeps. Past it, errors are only
-// counted (Dropped): a hostile source with a million bad characters costs
-// a counter, not a million error values, and "(and N more errors)" stays
-// exact.
+// maxErrs bounds the scan errors a Lexer keeps; past it they are only
+// counted (Dropped), so a million bad characters cost a counter, and
+// "(and N more errors)" stays exact.
 const maxErrs = 10
 
 // A Lexer scans C source text into tokens.

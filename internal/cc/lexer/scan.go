@@ -60,11 +60,7 @@ func ScanAll(src string) *Scan {
 // Size is the scan's charge against an artifact cache's byte budget: its
 // tokens, the errors it keeps and its drop marks.
 func (s *Scan) Size() int64 {
-	n := int64(len(s.Tokens))*48 + int64(len(s.drops))*16 + 64
-	for _, err := range s.Errs {
-		n += int64(len(err.Error())) + 64
-	}
-	return n
+	return int64(len(s.Tokens))*48 + int64(len(s.Errs))*160 + int64(len(s.drops))*16 + 64
 }
 
 // Replay returns a fresh token source over the scan. Each Replay owns its

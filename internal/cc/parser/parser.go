@@ -22,10 +22,8 @@ type TokenSource interface {
 	Next() token.Token
 	DefineType(name string)
 	IsType(name string) bool
-	// Errs returns the first scan errors of the tokens delivered so far,
-	// and Dropped how many more there were.
-	Errs() []error
-	Dropped() int
+	Errs() []error // the first scan errors of the tokens delivered so far
+	Dropped() int  // how many more there were
 }
 
 // Parse parses a complete translation unit. name is used in diagnostics.

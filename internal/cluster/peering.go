@@ -174,7 +174,7 @@ func (p *Peering) Owner(key artifact.Key) (addr string, self bool) {
 var ErrPeerUnavailable = errors.New("cluster: owning peer unavailable")
 
 // Fetch resolves the owner for key and, when it is a remote peer, asks
-// it to get-or-compute the artifact described by (family, recipe).
+// it to get-or-compute the artifact recipe describes.
 //
 //	remote == false            this node owns the key: compute locally,
 //	                           not a fallback (resp and err are nil)
@@ -185,7 +185,7 @@ var ErrPeerUnavailable = errors.New("cluster: owning peer unavailable")
 // The operation is bounded by Config.PeerTimeout and the cluster.peer.get
 // fault point fires before any network activity, so chaos suites can
 // sever the peer link deterministically.
-func (p *Peering) Fetch(ctx context.Context, key artifact.Key, family string, recipe any) (resp *GetResponse, remote bool, err error) {
+func (p *Peering) Fetch(ctx context.Context, key artifact.Key, recipe any) (resp *GetResponse, remote bool, err error) {
 	owner, self := p.Owner(key)
 	if self {
 		p.ownedLocal.Add(1)
@@ -215,7 +215,6 @@ func (p *Peering) Fetch(ctx context.Context, key artifact.Key, family string, re
 	var out GetResponse
 	if _, cerr := pr.cl.PostJSON(cctx, "/v1/peer/get", nil, &GetRequest{
 		Key:    string(key),
-		Family: family,
 		Recipe: raw,
 	}, &out); cerr != nil {
 		pr.getErrors.Add(1)
@@ -229,7 +228,7 @@ func (p *Peering) Fetch(ctx context.Context, key artifact.Key, family string, re
 
 // Push offers an artifact to its owning peer, best-effort: the repair
 // path after a fallback compute. Owning the key yourself is a no-op.
-func (p *Peering) Push(ctx context.Context, key artifact.Key, codecKind string, payload []byte, size int64) error {
+func (p *Peering) Push(ctx context.Context, key artifact.Key, codecKind string, payload []byte) error {
 	owner, self := p.Owner(key)
 	if self {
 		return nil
@@ -250,7 +249,6 @@ func (p *Peering) Push(ctx context.Context, key artifact.Key, codecKind string, 
 		Key:       string(key),
 		CodecKind: codecKind,
 		Payload:   payload,
-		Size:      size,
 	}, nil); cerr != nil {
 		pr.putErrors.Add(1)
 		return fmt.Errorf("%w: %v", ErrPeerUnavailable, cerr)

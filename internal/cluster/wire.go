@@ -8,31 +8,26 @@ import "encoding/json"
 // revalidated by the receiver's decoder before it enters the cache.
 
 // GetRequest asks the owning peer to get-or-compute one artifact.
-// Alongside the content-addressed key it carries the recipe — the
-// original endpoint request body — because a key is a digest: the owner
-// can only compute the artifact from the inputs, not from their hash.
-// The owner independently recomputes the key from the recipe and refuses
-// a mismatch, so a confused (or malicious) peer cannot poison another
-// node's cache under a wrong key.
+// Alongside the content-addressed key it carries the recipe, because a
+// key is a digest: the owner can only compute the artifact from the
+// inputs, not from their hash. The owner independently recomputes the
+// key from the recipe and refuses a mismatch, so a confused (or
+// malicious) peer cannot poison another node's cache under a wrong key.
 type GetRequest struct {
 	// Key is the artifact cache key (hex SHA-256, see internal/artifact).
 	Key string `json:"key"`
-	// Family names the artifact family: "annotate" or "compile".
-	Family string `json:"family"`
-	// Recipe is the family-specific request body (the same JSON shape the
-	// public /v1/annotate and /v1/compile endpoints accept).
+	// Recipe names the artifact by its inputs (a pipeline.Recipe: the
+	// stage, the translation unit and the public request's treatment).
 	Recipe json.RawMessage `json:"recipe"`
 }
 
-// GetResponse returns the artifact in disk-codec wire form.
+// GetResponse returns the artifact in disk-codec wire form. The
+// requester's decoder revalidates it and gives its LRU charge.
 type GetResponse struct {
-	// CodecKind selects the decoder (e.g. "annotate/v1", "compile/v1").
+	// CodecKind selects the decoder (e.g. "pipeline.prog/v1").
 	CodecKind string `json:"codec_kind"`
 	// Payload is the encoded artifact (base64 on the wire via encoding/json).
 	Payload []byte `json:"payload"`
-	// Size is the accounted cache size, so the requester charges its LRU
-	// budget exactly as the owner did.
-	Size int64 `json:"size"`
 	// CacheHit reports whether the owner served the artifact from its
 	// cache (memory or disk) rather than computing it.
 	CacheHit bool `json:"cache_hit"`
@@ -47,7 +42,6 @@ type PutRequest struct {
 	Key       string `json:"key"`
 	CodecKind string `json:"codec_kind"`
 	Payload   []byte `json:"payload"`
-	Size      int64  `json:"size"`
 }
 
 // PutResponse acknowledges a peer put.

@@ -60,11 +60,16 @@ type Result struct {
 }
 
 // annotated is the Annotate stage's artifact: the mutated deep clone of
-// the checked AST plus the annotator's diagnostics and rewritten source.
+// the checked AST plus the annotator's report, its diagnostics and
+// rewritten source. The tree does not survive the disk tier or the peer
+// wire, so an artifact from either has only the report (file is nil).
 type annotated struct {
 	file *ast.File
 	res  *gcsafe.Result
 }
+
+// size is the annotate artifact's LRU-budget charge.
+func (a *annotated) size() int64 { return int64(len(a.res.Output))*8 + 512 }
 
 // postprocessed is the Peephole stage's artifact.
 type postprocessed struct {
@@ -220,7 +225,9 @@ func (r *Runner) frontEnd(ctx context.Context, name, src string, k keys, rep *Bu
 // the annotator consults. The analysis only reads the shared AST, so no
 // clone is needed; the facts artifact is itself immutable and
 // position-keyed, so it applies equally to the Annotate stage's clone.
-func (r *Runner) annotate(ctx context.Context, ck *checked, k keys, opts gcsafe.Options, rep *BuildReport) (*annotated, error) {
+// With tree set the caller compiles the annotated AST, so a report that
+// came from disk or a peer is annotated again on a fresh clone.
+func (r *Runner) annotate(ctx context.Context, ck *checked, k keys, opts gcsafe.Options, rep *BuildReport, tree bool) (*annotated, error) {
 	var facts *liveness.Facts
 	if opts.Elide {
 		v, _, err := r.run(ctx, StageLiveness, k.live, rep, func() (any, int64, error) {
@@ -272,7 +279,7 @@ func (r *Runner) Annotate(ctx context.Context, name, src string, opts gcsafe.Opt
 	if err != nil {
 		return nil, rep, err
 	}
-	a, err := r.annotate(ctx, ck, k, opts, rep)
+	a, err := r.annotate(ctx, ck, k, opts, rep, false)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -284,17 +291,25 @@ func (r *Runner) Annotate(ctx context.Context, name, src string, opts gcsafe.Opt
 // the parser/annotator/codegen error (or to ctx.Err(), or to an injected
 // fault) underneath.
 func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Result, error) {
-	rep := &BuildReport{}
-	res := &Result{Report: rep}
 	k := opts.keys(name, src)
+	res, err := r.build(ctx, name, src, opts, k, &BuildReport{})
+	if err != nil {
+		return nil, err
+	}
+	res.Key = k.final()
+	return res, nil
+}
 
+// build walks the stages k keys, reporting to rep (nil: no report).
+func (r *Runner) build(ctx context.Context, name, src string, opts Options, k keys, rep *BuildReport) (*Result, error) {
+	res := &Result{Report: rep}
 	ck, err := r.frontEnd(ctx, name, src, k, rep)
 	if err != nil {
 		return nil, err
 	}
 	file := ck.file
 	if opts.Annotate {
-		a, err := r.annotate(ctx, ck, k, opts.AnnotateOptions, rep)
+		a, err := r.annotate(ctx, ck, k, opts.AnnotateOptions, rep, true)
 		if err != nil {
 			return nil, err
 		}
@@ -326,20 +341,19 @@ func (r *Runner) Build(ctx context.Context, name, src string, opts Options) (*Re
 
 	v, _, err = r.run(ctx, StageOptimize, k.optimize, rep, func() (any, int64, error) {
 		prog := codegen.Backend(ir)
-		return prog, int64(prog.Size())*40 + int64(len(prog.Data)) + 256, nil
+		return prog, progAccountedSize(prog), nil
 	})
 	if err != nil {
 		return nil, &StageError{Stage: StageOptimize, Err: err}
 	}
 	res.Prog = v.(*machine.Program)
-	res.Key = k.final()
 
 	if opts.Post {
 		prog := res.Prog
 		v, _, err = r.run(ctx, StagePeephole, k.peephole, rep, func() (any, int64, error) {
 			q := prog.Clone()
 			st := peephole.Optimize(q, opts.Machine)
-			return &postprocessed{prog: q, stats: st}, int64(q.Size())*40 + int64(len(q.Data)) + 256, nil
+			return &postprocessed{prog: q, stats: st}, progAccountedSize(q), nil
 		})
 		if err != nil {
 			return nil, &StageError{Stage: StagePeephole, Err: err}

@@ -50,21 +50,39 @@ func (r *Runner) Execute(ctx context.Context, prog *machine.Program, progKey art
 		key = run.Key(progKey)
 	}
 	v, hit, err := r.run(ctx, StageExecute, key, nil, func() (any, int64, error) {
-		res, err := interp.RunContext(ctx, prog, run)
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			return nil, 0, err
-		}
-		x := &execution{res: res, err: err}
-		return x, x.size(), nil
+		return execute(ctx, prog, run)
 	})
 	if err != nil {
 		return nil, false, err
 	}
-	x := v.(*execution)
+	res, err := v.(*execution).priced(run.Config)
+	return res, hit, err
+}
+
+// execute is the Execute stage's computation: one run of prog.
+func execute(ctx context.Context, prog *machine.Program, run interp.Options) (any, int64, error) {
+	res, err := interp.RunContext(ctx, prog, run)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return nil, 0, err
+	}
+	x := &execution{res: res, err: err}
+	return x, x.size(), nil
+}
+
+// priced returns the caller's copy of the run's result, priced on cfg,
+// and the run's error.
+func (x *execution) priced(cfg machine.Config) (*interp.Result, error) {
 	if x.res == nil {
-		return nil, hit, x.err
+		return nil, x.err
 	}
 	res := *x.res
-	res.Cycles = res.Price(run.Config)
-	return &res, hit, x.err
+	res.Cycles = res.Price(cfg)
+	return &res, x.err
+}
+
+// Outcome reads the Execute artifact a Peer's Computed is handed: the
+// run's result, priced on the machine it ran for, and its error.
+func Outcome(v any) (*interp.Result, error) {
+	x := v.(*execution)
+	return x.res, x.err
 }

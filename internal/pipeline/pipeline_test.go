@@ -479,11 +479,9 @@ func TestResultKeyIsOptionsKey(t *testing.T) {
 }
 
 // TestWireRoundTrip: the persistable stage artifacts survive an
-// encode/decode cycle through the codec registry.
+// encode/decode cycle through the codec.
 func TestWireRoundTrip(t *testing.T) {
-	reg := artifact.NewCodecRegistry()
-	RegisterWire(reg)
-	codec := reg.DiskCodec()
+	codec := Codec()
 
 	r := NewRunner(artifact.New(0))
 	w := workloads.All()[0]
@@ -549,9 +547,25 @@ func TestWireRoundTrip(t *testing.T) {
 	if _, _, ok := codec.Encode("k5", &execution{res: x.res, err: errors.New("fault")}); ok {
 		t.Error("an execution that ended in an error was encoded")
 	}
+	// The annotator's report round-trips without its tree.
+	a := &annotated{file: res.Annotate.File, res: res.Annotate}
+	kind, data, ok = codec.Encode("k6", a)
+	if !ok || kind != kindAnnotate {
+		t.Fatalf("annotate artifact did not encode (ok=%v kind=%q)", ok, kind)
+	}
+	v, size, err = codec.Decode(kind, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back2 := v.(*annotated)
+	want := *res.Annotate
+	want.File = nil
+	if back2.file != nil || !reflect.DeepEqual(*back2.res, want) || size != a.size() {
+		t.Errorf("annotate artifact changed across the wire: %+v, size %d", back2.res, size)
+	}
 	// Unclaimed values stay memory-only.
 	if _, _, ok := codec.Encode("k3", 42); ok {
-		t.Error("registry claimed an unknown artifact type")
+		t.Error("codec claimed an unknown artifact type")
 	}
 }
 

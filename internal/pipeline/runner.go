@@ -19,6 +19,7 @@ type Runner struct {
 	cache   *artifact.Cache
 	stats   [9]stageCounters // indexed by Stage.index()
 	elision elisionCounters
+	peer    Peer // the ladder's peer rung (nil: none; see serve.go)
 }
 
 // elisionCounters aggregates the annotator's elision outcomes across

@@ -12,7 +12,8 @@ import (
 // gcsafed's /v1/compile and /v1/run requests carry on the wire: how to
 // build a translation unit and how to run the program. Its names are the
 // wire's, and Options is the one conversion from those names to the
-// options every cache key derives from.
+// options every cache key derives from. AnnotateSpec does the same for
+// /v1/annotate's switches.
 type Spec struct {
 	BuildSpec
 	RunSpec
@@ -72,6 +73,15 @@ func (b BuildSpec) BuildOptions() (Options, error) {
 // Annotated reports whether Annotate names a mode, not "" or "none".
 func (b BuildSpec) Annotated() bool { return b.Annotate != "" && b.Annotate != "none" }
 
+// LastStage is the stage whose artifact is the built program: Peephole
+// under Post, else Optimize.
+func (b BuildSpec) LastStage() Stage {
+	if b.Post {
+		return StagePeephole
+	}
+	return StageOptimize
+}
+
 // RunOptions converts the run half into executor options on cfg. The
 // step budget, faults and profiling are the caller's policy, not the
 // treatment's, and stay zero.
@@ -88,4 +98,42 @@ func (r RunSpec) RunOptions(cfg machine.Config) interp.Options {
 		CollectAtSwitch:     r.CollectAtSwitch,
 		BaseOnlyHeap:        r.BaseOnly,
 	}
+}
+
+// AnnotateSpec is the C-to-C preprocessor's switches in the wire's names:
+// what /v1/annotate asks of the annotator beyond the translation unit.
+type AnnotateSpec struct {
+	Mode              string `json:"mode"`  // safe (the default), checked or temporal
+	Style             string `json:"style"` // macro (the default) or asm
+	NoCopySuppression bool   `json:"no_copy_suppression"`
+	NoIncDecExpansion bool   `json:"no_incdec_expansion"`
+	BaseHeuristic     bool   `json:"base_heuristic"`
+	CallSiteOnly      bool   `json:"call_site_only"`
+	StrictCasts       bool   `json:"strict_casts"`
+	Elide             bool   `json:"elide"` // liveness-based elision of annotations
+}
+
+// AnnotateOptions converts the switches into annotator options. The
+// error names an unknown mode or style.
+func (a AnnotateSpec) AnnotateOptions() (gcsafe.Options, error) {
+	opts := gcsafe.Options{
+		NoCopySuppression:  a.NoCopySuppression,
+		NoIncDecExpansion:  a.NoIncDecExpansion,
+		BaseHeuristic:      a.BaseHeuristic,
+		CallSiteOnly:       a.CallSiteOnly,
+		StrictCastWarnings: a.StrictCasts,
+		Elide:              a.Elide,
+	}
+	var ok bool
+	if opts.Mode, ok = gcsafe.ParseMode(a.Mode); !ok && a.Mode != "" {
+		return opts, fmt.Errorf("unknown mode %q (want safe, checked or temporal)", a.Mode)
+	}
+	switch a.Style {
+	case "", "macro":
+	case "asm":
+		opts.Style = gcsafe.EmitAsm
+	default:
+		return opts, fmt.Errorf("unknown style %q (want macro or asm)", a.Style)
+	}
+	return opts, nil
 }

@@ -4,28 +4,29 @@ import (
 	"fmt"
 
 	"gcsafety/internal/artifact"
+	"gcsafety/internal/gcsafe"
 	"gcsafety/internal/interp"
 	"gcsafety/internal/machine"
 	"gcsafety/internal/peephole"
 )
 
-// Wire kinds for the stage artifacts that survive a process restart:
-// the compiled programs (Optimize, Peephole) and the error-free
-// executions. The front-end artifacts — token streams, ASTs, IR — are
-// pointer graphs that gob cannot round-trip, and they rebuild quickly; a
-// run error is an arbitrary value, and its run repeats to the same
-// answer. They simply stay memory-only.
+// Wire kinds for the stage artifacts that survive a process restart and
+// travel between peers: the annotator's report (Annotate), the compiled
+// programs (Optimize, Peephole) and the error-free executions. The
+// front-end artifacts — token streams, ASTs, IR — are pointer graphs that
+// gob cannot round-trip, and they rebuild quickly, so the Annotate
+// artifact crosses without its tree; a run error is an arbitrary value,
+// and its run repeats to the same answer. They simply stay memory-only.
 const (
-	kindProg = "pipeline.prog/v1"
-	kindPost = "pipeline.post/v1"
-	kindExec = "pipeline.exec/v1"
+	kindAnnotate = "pipeline.annotate/v1"
+	kindProg     = "pipeline.prog/v1"
+	kindPost     = "pipeline.post/v1"
+	kindExec     = "pipeline.exec/v1"
 )
 
+// wireProg is a program and, under Peephole, what the postprocessor
+// changed.
 type wireProg struct {
-	Prog *machine.Program
-}
-
-type wirePost struct {
 	Prog  *machine.Program
 	Stats peephole.Stats
 }
@@ -37,63 +38,64 @@ func progAccountedSize(p *machine.Program) int64 {
 	return int64(p.Size())*40 + int64(len(p.Data)) + 256
 }
 
-// RegisterWire contributes the pipeline's persistable artifact kinds to
-// a codec registry, letting a shared disk tier (gcsafed's) carry
-// per-stage compiled programs and clean executions across restarts
-// alongside the server's own whole-product artifacts.
-func RegisterWire(reg *artifact.CodecRegistry) {
-	reg.Register(kindProg, artifact.Codec{
-		Encode: func(key artifact.Key, v any) ([]byte, bool) {
-			p, ok := v.(*machine.Program)
-			if !ok {
-				return nil, false
-			}
-			return artifact.GobBytes(&wireProg{Prog: p})
-		},
-		Decode: func(data []byte) (any, int64, error) {
-			var w wireProg
-			if err := artifact.GobDecode(data, &w); err != nil {
-				return nil, 0, err
-			}
-			if w.Prog == nil || len(w.Prog.Funcs) == 0 {
-				return nil, 0, fmt.Errorf("pipeline program artifact with no code")
-			}
+// Codec is the byte form of the persistable stage artifacts, for a disk
+// tier (gcsafed's) to carry them across restarts and the peer wire to
+// carry them between nodes. A decoded artifact charges the LRU budget
+// exactly like a freshly computed one.
+func Codec() artifact.DiskCodec {
+	return artifact.DiskCodec{Encode: encode, Decode: decode}
+}
+
+func encode(key artifact.Key, v any) (string, []byte, bool) {
+	var kind string
+	var w any
+	switch v := v.(type) {
+	case *annotated:
+		r := *v.res
+		r.File = nil
+		kind, w = kindAnnotate, &r
+	case *machine.Program:
+		kind, w = kindProg, &wireProg{Prog: v}
+	case *postprocessed:
+		kind, w = kindPost, &wireProg{Prog: v.prog, Stats: v.stats}
+	case *execution:
+		if v.err != nil || v.res == nil {
+			return "", nil, false
+		}
+		kind, w = kindExec, v.res
+	default:
+		return "", nil, false
+	}
+	data, ok := artifact.GobBytes(w)
+	return kind, data, ok
+}
+
+func decode(kind string, data []byte) (any, int64, error) {
+	switch kind {
+	case kindAnnotate:
+		a := &annotated{res: &gcsafe.Result{}}
+		if err := artifact.GobDecode(data, a.res); err != nil {
+			return nil, 0, err
+		}
+		return a, a.size(), nil
+	case kindProg, kindPost:
+		var w wireProg
+		if err := artifact.GobDecode(data, &w); err != nil {
+			return nil, 0, err
+		}
+		if w.Prog == nil || len(w.Prog.Funcs) == 0 {
+			return nil, 0, fmt.Errorf("%s artifact with no code", kind)
+		}
+		if kind == kindProg {
 			return w.Prog, progAccountedSize(w.Prog), nil
-		},
-	})
-	reg.Register(kindPost, artifact.Codec{
-		Encode: func(key artifact.Key, v any) ([]byte, bool) {
-			p, ok := v.(*postprocessed)
-			if !ok {
-				return nil, false
-			}
-			return artifact.GobBytes(&wirePost{Prog: p.prog, Stats: p.stats})
-		},
-		Decode: func(data []byte) (any, int64, error) {
-			var w wirePost
-			if err := artifact.GobDecode(data, &w); err != nil {
-				return nil, 0, err
-			}
-			if w.Prog == nil || len(w.Prog.Funcs) == 0 {
-				return nil, 0, fmt.Errorf("pipeline postprocessed artifact with no code")
-			}
-			return &postprocessed{prog: w.Prog, stats: w.Stats}, progAccountedSize(w.Prog), nil
-		},
-	})
-	reg.Register(kindExec, artifact.Codec{
-		Encode: func(key artifact.Key, v any) ([]byte, bool) {
-			x, ok := v.(*execution)
-			if !ok || x.err != nil || x.res == nil {
-				return nil, false
-			}
-			return artifact.GobBytes(x.res)
-		},
-		Decode: func(data []byte) (any, int64, error) {
-			x := &execution{res: &interp.Result{}}
-			if err := artifact.GobDecode(data, x.res); err != nil {
-				return nil, 0, err
-			}
-			return x, x.size(), nil
-		},
-	})
+		}
+		return &postprocessed{prog: w.Prog, stats: w.Stats}, progAccountedSize(w.Prog), nil
+	case kindExec:
+		x := &execution{res: &interp.Result{}}
+		if err := artifact.GobDecode(data, x.res); err != nil {
+			return nil, 0, err
+		}
+		return x, x.size(), nil
+	}
+	return nil, 0, fmt.Errorf("unknown artifact kind %q", kind)
 }

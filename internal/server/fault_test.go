@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"gcsafety/internal/artifact"
 	"gcsafety/internal/faultinject"
 )
 
@@ -349,5 +351,41 @@ func TestUnopenableCacheDirDegradesGracefully(t *testing.T) {
 	snap := metricsSnapshot(t, ts.URL)
 	if snap.DiskError == "" {
 		t.Fatal("disk error not surfaced in /metrics")
+	}
+}
+
+// TestCompileWritesOneProgramEntry: a /v1/compile with a disk tier files
+// its program once, as the pipeline's stage artifact, not again as a
+// server product.
+func TestCompileWritesOneProgramEntry(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{CacheDir: dir})
+	body := map[string]any{"name": "one.c", "source": helloC, "annotate": "safe", "optimize": true}
+	if resp, data := postJSON(t, ts.URL+"/v1/compile", body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("compile: %d %s", resp.StatusCode, data)
+	}
+	disk, _, err := artifact.OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var programs []string
+	for _, de := range names {
+		if de.IsDir() {
+			continue
+		}
+		kind, _, err := disk.Get(context.Background(), artifact.Key(de.Name()))
+		if err != nil {
+			t.Fatalf("entry %s: %v", de.Name(), err)
+		}
+		if strings.Contains(kind, "prog") || strings.Contains(kind, "post") || strings.Contains(kind, "compile") {
+			programs = append(programs, kind)
+		}
+	}
+	if len(programs) != 1 {
+		t.Fatalf("program entries on disk: %v, want exactly one", programs)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"time"
 
-	"gcsafety/internal/artifact"
 	"gcsafety/internal/faultinject"
 	"gcsafety/internal/fuzz"
 	"gcsafety/internal/gcsafe"
@@ -30,22 +29,12 @@ func decode(r *http.Request, v any) error {
 	return nil
 }
 
-// AnnotateRequest asks for the C-to-C preprocessor.
+// AnnotateRequest asks for the C-to-C preprocessor: a translation unit
+// and the annotator's switches.
 type AnnotateRequest struct {
 	Name   string `json:"name"`
 	Source string `json:"source"`
-	// Mode is "safe" (default), "checked" or "temporal".
-	Mode string `json:"mode"`
-	// Style is "macro" (default) or "asm".
-	Style             string `json:"style"`
-	NoCopySuppression bool   `json:"no_copy_suppression"`
-	NoIncDecExpansion bool   `json:"no_incdec_expansion"`
-	BaseHeuristic     bool   `json:"base_heuristic"`
-	CallSiteOnly      bool   `json:"call_site_only"`
-	StrictCasts       bool   `json:"strict_casts"`
-	// Elide turns on the liveness-based elision analysis: annotations the
-	// pipeline's Liveness stage proves redundant are dropped.
-	Elide bool `json:"elide"`
+	pipeline.AnnotateSpec
 }
 
 // AnnotateResponse returns the rewritten source and diagnostics.
@@ -59,35 +48,6 @@ type AnnotateResponse struct {
 	CacheHit   bool     `json:"cache_hit"`
 }
 
-// resolve validates the request's options and derives the product's cache
-// key: the pipeline's Annotate stage key, under the product's own kind.
-// The stage key covers the file name, which the warnings carry.
-func (req *AnnotateRequest) resolve() (gcsafe.Options, artifact.Key, error) {
-	opts := gcsafe.Options{
-		NoCopySuppression:  req.NoCopySuppression,
-		NoIncDecExpansion:  req.NoIncDecExpansion,
-		BaseHeuristic:      req.BaseHeuristic,
-		CallSiteOnly:       req.CallSiteOnly,
-		StrictCastWarnings: req.StrictCasts,
-		Elide:              req.Elide,
-	}
-	if req.Mode != "" {
-		mode, ok := gcsafe.ParseMode(req.Mode)
-		if !ok {
-			return opts, "", errf(http.StatusBadRequest, "unknown mode %q (want safe, checked or temporal)", req.Mode)
-		}
-		opts.Mode = mode
-	}
-	switch req.Style {
-	case "", "macro":
-	case "asm":
-		opts.Style = gcsafe.EmitAsm
-	default:
-		return opts, "", errf(http.StatusBadRequest, "unknown style %q (want macro or asm)", req.Style)
-	}
-	return opts, artifact.NewKey("annotate").Str(string(pipeline.AnnotateKey(unitName(req.Name), req.Source, opts))).Sum(), nil
-}
-
 // unitName is a request's translation-unit name: its own, or "input.c".
 func unitName(name string) string {
 	if name == "" {
@@ -96,98 +56,48 @@ func unitName(name string) string {
 	return name
 }
 
-// annotated is the cached product of one annotator execution. size is
-// the accounted cache size, carried so the disk tier restores an entry
-// with the same LRU charge it was computed with.
-type annotated struct {
-	output     string
-	warnings   []string
-	inserted   int
-	suppressed int
-	temps      int
-	elided     int
-	size       int64
-}
-
-// stageBuildError translates a pipeline build failure into the handler
-// error vocabulary: context errors pass through raw (so the middleware
-// maps them to 504/499), injected faults surface as 500s like every
-// other injection, and genuine stage failures become 422s prefixed the
-// way the pre-pipeline monolithic path spelled them.
-func stageBuildError(err error) error {
+// requestError translates a ladder failure into the handler error
+// vocabulary: a bad recipe is a 400, context errors pass through raw (the
+// middleware maps them to 504/499), injected faults are 500s, and stage
+// failures are 422s, prefixed with their build phase unless the caller
+// is the annotator's endpoint, which has always reported them bare.
+func requestError(err error, phase bool) error {
+	var re *pipeline.RecipeError
 	var se *pipeline.StageError
-	if !errors.As(err, &se) {
+	switch {
+	case errors.As(err, &re):
+		return errf(http.StatusBadRequest, "%v", re.Err)
+	case !errors.As(err, &se):
 		return err
-	}
-	if errors.Is(se.Err, context.Canceled) || errors.Is(se.Err, context.DeadlineExceeded) {
+	case errors.Is(se.Err, context.Canceled) || errors.Is(se.Err, context.DeadlineExceeded):
 		return se.Err
-	}
-	if errors.Is(se.Err, faultinject.ErrInjected) {
+	case errors.Is(se.Err, faultinject.ErrInjected):
 		return errf(http.StatusInternalServerError, "%v", se.Err)
+	case phase:
+		return errf(http.StatusUnprocessableEntity, "%s: %v", se.Phase(), se.Err)
 	}
-	return errf(http.StatusUnprocessableEntity, "%s: %v", se.Phase(), se.Err)
+	return errf(http.StatusUnprocessableEntity, "%v", se.Err)
 }
 
-// annotate runs the preprocessor through the artifact cache. The outer
-// whole-product entry keyed by AnnotateRequest.resolve is what the disk
-// tier persists and the stampede guarantee counts; beneath it the stage
-// runner shares Lex/Parse/Typecheck with every other endpoint that saw
-// the same source.
-func (s *Server) annotate(ctx context.Context, req *AnnotateRequest) (*annotated, bool, error) {
-	opts, key, err := req.resolve()
-	if err != nil {
-		return nil, false, err
-	}
-	src := req.Source
-	v, hit, err := s.cache.GetOrCompute(ctx, key, func() (any, int64, error) {
-		// Local memory and disk both missed. Before computing, try the
-		// cluster rung of the ladder: the key's owning peer get-or-computes
-		// it once for the whole cluster, from the request as its recipe.
-		// Any peer failure falls through to a local compute — availability
-		// over dedup.
-		if pv, psize, ok := s.peerFetch(ctx, key, familyAnnotate, req); ok {
-			return pv, psize, nil
-		}
-		// annotations counts true local annotator executions only (not
-		// artifacts fetched from peers), so summing the counter across a
-		// cluster measures how many times the work was really done.
-		s.annotations.Add(1)
-		res, _, err := s.pipeline.Annotate(ctx, unitName(req.Name), src, opts)
-		if err != nil {
-			var se *pipeline.StageError
-			if errors.As(err, &se) {
-				// The monolithic path reported annotator/parser errors
-				// bare, with no stage prefix; keep that wire format.
-				if errors.Is(se.Err, context.Canceled) || errors.Is(se.Err, context.DeadlineExceeded) {
-					return nil, 0, se.Err
-				}
-				if errors.Is(se.Err, faultinject.ErrInjected) {
-					return nil, 0, errf(http.StatusInternalServerError, "%v", se.Err)
-				}
-				return nil, 0, errf(http.StatusUnprocessableEntity, "%v", se.Err)
-			}
-			return nil, 0, err
-		}
-		a := &annotated{
-			output:     res.Output,
-			inserted:   res.Inserted,
-			suppressed: res.Suppressed,
-			temps:      res.Temps,
-			elided:     res.Elided,
-			size:       int64(len(src) + len(res.Output) + 256),
-		}
-		for _, w := range res.Warnings {
-			a.warnings = append(a.warnings, w.String())
-		}
-		// A fallback compute of a remotely owned key leaves the owner
-		// without the artifact; repair the placement asynchronously.
-		s.peerRepair(ctx, key, a)
-		return a, a.size, nil
+// annotate serves the request's annotator report from the pipeline's
+// ladder; cache_hit means this node's memory or disk held it.
+func (s *Server) annotate(ctx context.Context, req *AnnotateRequest) (*gcsafe.Result, bool, error) {
+	res, hit, err := s.pipeline.Report(ctx, &pipeline.Recipe{
+		Stage: pipeline.StageAnnotate, Name: unitName(req.Name), Source: req.Source, Annotator: req.AnnotateSpec,
 	})
 	if err != nil {
-		return nil, false, err
+		return nil, false, requestError(err, false)
 	}
-	return v.(*annotated), hit, nil
+	return res, hit, nil
+}
+
+// warnings spells a report's diagnostics for the wire.
+func warnings(res *gcsafe.Result) []string {
+	var out []string
+	for _, w := range res.Warnings {
+		out = append(out, w.String())
+	}
+	return out
 }
 
 func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) error {
@@ -195,17 +105,17 @@ func (s *Server) handleAnnotate(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	a, hit, err := s.annotate(r.Context(), &req)
+	res, hit, err := s.annotate(r.Context(), &req)
 	if err != nil {
 		return err
 	}
 	writeJSON(w, http.StatusOK, AnnotateResponse{
-		Output:     a.output,
-		Warnings:   a.warnings,
-		Inserted:   a.inserted,
-		Suppressed: a.suppressed,
-		Temps:      a.temps,
-		Elided:     a.elided,
+		Output:     res.Output,
+		Warnings:   warnings(res),
+		Inserted:   res.Inserted,
+		Suppressed: res.Suppressed,
+		Temps:      res.Temps,
+		Elided:     res.Elided,
 		CacheHit:   hit,
 	})
 	return nil
@@ -232,13 +142,15 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	a, hit, err := s.annotate(r.Context(), &AnnotateRequest{Name: req.Name, Source: req.Source, StrictCasts: true})
+	res, hit, err := s.annotate(r.Context(), &AnnotateRequest{
+		Name: req.Name, Source: req.Source, AnnotateSpec: pipeline.AnnotateSpec{StrictCasts: true},
+	})
 	if err != nil {
 		return err
 	}
 	writeJSON(w, http.StatusOK, CheckResponse{
-		Warnings: a.warnings,
-		Clean:    len(a.warnings) == 0,
+		Warnings: warnings(res),
+		Clean:    len(res.Warnings) == 0,
 		CacheHit: hit,
 	})
 	return nil
@@ -263,78 +175,27 @@ type CompileResponse struct {
 	CacheHit bool   `json:"cache_hit"`
 }
 
-// compiled is the cached product of one compiler execution. The Program
-// is immutable after the peephole pass and shared by every subsequent
-// run. accounted is the cache size charge, carried for the disk tier.
-type compiled struct {
-	prog      *machine.Program
-	size      int
-	accounted int64
-}
-
-// resolve converts the request's treatment into pipeline options and
-// derives the product's cache key: the pipeline's final stage key, under
-// the product's own kind. Machines that differ only in cost model (ss2
-// and ss10) share one product, as they share one program.
-func (req *CompileRequest) resolve() (pipeline.Options, artifact.Key, error) {
-	opts, err := req.BuildOptions()
-	if err != nil {
-		return opts, "", errf(http.StatusBadRequest, "%v", err)
-	}
-	return opts, artifact.NewKey("compile").Str(string(opts.Key(unitName(req.Name), req.Source))).Sum(), nil
-}
-
-// compile builds one treatment cell through the artifact cache: the
-// whole-product entry under key (CompileRequest.resolve) preserves the
-// pre-pipeline stampede guarantee (one compile per distinct cell under
-// arbitrary concurrency) and the disk-tier restart story, while the stage
-// runner beneath it shares the front end and intermediate artifacts
-// across cells that differ only in annotation, machine, opt level or
-// peephole flag.
-func (s *Server) compile(ctx context.Context, req *CompileRequest, opts pipeline.Options, key artifact.Key) (*compiled, bool, error) {
-	v, hit, err := s.cache.GetOrCompute(ctx, key, func() (any, int64, error) {
-		// The cluster rung: ask the owning peer before running codegen
-		// locally (see annotate for the ladder rationale).
-		if pv, psize, ok := s.peerFetch(ctx, key, familyCompile, req); ok {
-			return pv, psize, nil
-		}
-		// compiles counts true local compiler executions only — the
-		// cluster-wide dedup gate is stated in terms of this counter.
-		s.compiles.Add(1)
-		res, err := s.pipeline.Build(ctx, unitName(req.Name), req.Source, opts)
-		if err != nil {
-			return nil, 0, stageBuildError(err)
-		}
-		prog := res.Prog
-		c := &compiled{prog: prog, size: prog.Size()}
-		// Accounted size: instruction words plus the static segment, with
-		// a per-function overhead allowance.
-		c.accounted = int64(c.size)*16 + int64(len(prog.Data)) + int64(len(prog.Funcs))*64 + 256
-		s.peerRepair(ctx, key, c)
-		return c, c.accounted, nil
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return v.(*compiled), hit, nil
-}
-
+// handleCompile serves the request's program from the pipeline's ladder;
+// cache_hit means this node's memory or disk held it. Machines that
+// differ only in cost model (ss2 and ss10) share one program.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) error {
 	var req CompileRequest
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	opts, key, err := req.resolve()
+	opts, err := req.BuildOptions()
 	if err != nil {
-		return err
+		return errf(http.StatusBadRequest, "%v", err)
 	}
-	c, hit, err := s.compile(r.Context(), &req, opts, key)
+	prog, hit, err := s.pipeline.Program(r.Context(), &pipeline.Recipe{
+		Stage: req.LastStage(), Name: unitName(req.Name), Source: req.Source, Spec: pipeline.Spec{BuildSpec: req.BuildSpec},
+	})
 	if err != nil {
-		return err
+		return requestError(err, true)
 	}
-	resp := CompileResponse{Size: c.size, Machine: opts.Machine.Name, CacheHit: hit}
+	resp := CompileResponse{Size: prog.Size(), Machine: opts.Machine.Name, CacheHit: hit}
 	if req.Listing {
-		resp.Listing = c.prog.Listing()
+		resp.Listing = prog.Listing()
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil
@@ -353,7 +214,8 @@ type RunRequest struct {
 
 // RunResponse reports one execution. A run-time fault of the simulated
 // program (including premature-reclamation detections and failed pointer
-// checks) is data, not an HTTP error: the pipeline did its job.
+// checks) is data, not an HTTP error: the pipeline did its job. cache_hit
+// is the program's, as on /v1/compile.
 type RunResponse struct {
 	Output      string `json:"output"`
 	ExitCode    int32  `json:"exit_code"`
@@ -368,52 +230,35 @@ type RunResponse struct {
 	CacheHit    bool   `json:"cache_hit"`
 }
 
-// executed is one run request's outcome: the compiled product, the run's
-// result and its own error, which is data to the caller, and whether
-// each came from the cache.
-type executed struct {
-	c          *compiled
-	compileHit bool
-	res        *interp.Result
-	runHit     bool
-	runErr     error
+// execute serves the request's run, rec, from the pipeline's ladder,
+// with the request's injected faults armed, under its run timeout. hit means this node's
+// memory or disk held the run, and runErr is the run's own error, which
+// is data to the caller; err is a rejected request, a failed build or a
+// context error.
+func (s *Server) execute(r *http.Request, req *RunRequest, rec *pipeline.Recipe) (res *interp.Result, hit bool, runErr, err error) {
+	ctx, cancel := s.runContext(r.Context(), req.TimeoutMs)
+	defer cancel()
+	res, hit, runErr = s.pipeline.Run(ctx, rec)
+	var re *pipeline.RecipeError
+	var se *pipeline.StageError
+	if errors.As(runErr, &re) || errors.As(runErr, &se) ||
+		errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
+		return nil, false, nil, requestError(runErr, true)
+	}
+	return res, hit, runErr, nil
 }
 
-// execute compiles the request's program through the product cache and
-// runs it on the pipeline's Execute stage, with the step limit clamped to
-// the server ceiling and the request's injected faults armed. A run that
-// was computed rather than shared is recorded in /metrics. The error is a
-// rejected request, a failed compile or a context error.
-func (s *Server) execute(r *http.Request, req *RunRequest, heapProfile bool) (*executed, error) {
-	opts, key, err := req.resolve()
-	if err != nil {
-		return nil, err
-	}
-	if req.Threads < 0 || req.Threads > maxRunThreads {
-		return nil, errf(http.StatusBadRequest, "threads %d out of range (max %d)", req.Threads, maxRunThreads)
-	}
-	x := &executed{}
-	if x.c, x.compileHit, err = s.compile(r.Context(), &req.CompileRequest, opts, key); err != nil {
-		return nil, err
-	}
+// recipe names the request's run for the pipeline's ladder, with the
+// step limit clamped to the server ceiling.
+func (s *Server) recipe(req *RunRequest, heapProfile bool) *pipeline.Recipe {
 	steps := s.cfg.MaxSteps
 	if req.MaxSteps > 0 && req.MaxSteps < steps {
 		steps = req.MaxSteps
 	}
-	ctx, cancel := s.runContext(r.Context(), req.TimeoutMs)
-	defer cancel()
-	run := req.RunOptions(opts.Machine)
-	run.MaxInstrs = steps
-	run.Faults = faultinject.FromContext(r.Context())
-	run.HeapProfile = heapProfile
-	x.res, x.runHit, x.runErr = s.pipeline.Execute(ctx, x.c.prog, key, run)
-	if errors.Is(x.runErr, context.Canceled) || errors.Is(x.runErr, context.DeadlineExceeded) {
-		return nil, x.runErr
+	return &pipeline.Recipe{
+		Stage: pipeline.StageExecute, Name: unitName(req.Name), Source: req.Source,
+		Spec: pipeline.Spec{BuildSpec: req.BuildSpec, RunSpec: req.RunSpec}, MaxSteps: steps, HeapProfile: heapProfile,
 	}
-	if x.res != nil && !x.runHit {
-		s.metrics.runs.record(x.res.Instrs, x.res.Cycles, x.res.GCStats, x.runErr != nil)
-	}
-	return x, nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
@@ -421,12 +266,17 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	x, err := s.execute(r, &req, false)
+	rec := s.recipe(&req, false)
+	prog, hit, err := s.pipeline.Program(r.Context(), rec)
+	if err != nil {
+		return requestError(err, true)
+	}
+	res, _, runErr, err := s.execute(r, &req, rec)
 	if err != nil {
 		return err
 	}
-	resp := RunResponse{Size: x.c.size, CacheHit: x.compileHit}
-	if res := x.res; res != nil {
+	resp := RunResponse{Size: prog.Size(), CacheHit: hit}
+	if res != nil {
 		resp.Output = res.Output
 		resp.ExitCode = res.ExitCode
 		resp.Cycles = res.Cycles
@@ -434,7 +284,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 		resp.Collections = res.GCStats.Collections
 		resp.Allocated = res.GCStats.ObjectsAlloced
 	}
-	if runErr := x.runErr; runErr != nil {
+	if runErr != nil {
 		resp.Fault = runErr.Error()
 		resp.StepLimit = errors.Is(runErr, interp.ErrInstrLimit)
 		var ce *interp.CheckError
@@ -489,11 +339,6 @@ type MatrixResponse struct {
 }
 
 const maxMatrixSteps = 64
-
-// maxRunThreads bounds the concurrent-mutator simulation per request: the
-// threads share one simulated stack region, and the interpreter rejects
-// segments that would be too small anyway.
-const maxRunThreads = 16
 
 func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) error {
 	var req MatrixRequest

@@ -3,7 +3,6 @@ package server
 import (
 	"net/http"
 	"strings"
-	"time"
 
 	"gcsafety/internal/heapdump"
 )
@@ -25,7 +24,8 @@ type HeapdumpRequest struct {
 
 // HeapdumpResponse carries the snapshot. A program fault or checker
 // violation is data here like in /v1/run: the snapshot's Trigger and
-// Reason describe it, and the capture still happened.
+// Reason describe it, and the capture still happened. cache_hit means
+// this node's memory or disk held the run.
 type HeapdumpResponse struct {
 	Snapshot    *heapdump.Snapshot `json:"snapshot"`
 	Report      string             `json:"report,omitempty"`
@@ -39,21 +39,18 @@ func (s *Server) handleHeapdump(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	x, err := s.execute(r, &req.RunRequest, true)
+	res, hit, _, err := s.execute(r, &req.RunRequest, s.recipe(&req.RunRequest, true))
 	if err != nil {
 		return err
 	}
-	if x.res == nil || x.res.Snapshot == nil {
+	if res == nil || res.Snapshot == nil {
 		reason := "no result"
-		if x.res != nil {
-			reason = x.res.SnapshotErr
+		if res != nil {
+			reason = res.SnapshotErr
 		}
 		return errf(http.StatusInternalServerError, "heapdump capture failed: %s", reason)
 	}
-	snap := x.res.Snapshot
-	if !x.runHit {
-		s.metrics.heap.record(len(snap.Objects), snap.TotalBytes(), snap.Epoch, time.Duration(snap.CaptureNs))
-	}
+	snap := res.Snapshot
 	// The snapshot is the cached run's, shared by every request for it:
 	// truncation bounds a per-response copy.
 	maxObjects := s.cfg.MaxDumpObjects
@@ -65,7 +62,7 @@ func (s *Server) handleHeapdump(w http.ResponseWriter, r *http.Request) error {
 		Snapshot:    snap,
 		LiveObjects: len(snap.Objects),
 		LiveBytes:   snap.TotalBytes(),
-		CacheHit:    x.runHit,
+		CacheHit:    hit,
 	}
 	if req.Report {
 		topN := req.TopN

@@ -19,20 +19,18 @@ int main() {
 `
 
 // TestCacheKeysPinned pins the hex digests of the keys a daemon request
-// files its artifacts under: the /v1/compile product key, the /v1/annotate
-// product key, the pipeline's final-program (Optimize) and Annotate stage
-// keys beneath them, and the Execute stage's run key, which chains on the
-// compile product key. The bodies have the shape the benchmark's daemon
+// files its artifacts under: the pipeline's final-program (Optimize) stage
+// key, which /v1/compile serves, its Annotate stage key, which
+// /v1/annotate serves, and the Execute stage's run key, which chains on
+// the program key. The bodies have the shape the benchmark's daemon
 // workloads send. A changed digest invalidates every entry a disk tier
 // holds, so a refactor of how requests are decoded or converted into
 // options must leave them unchanged.
 func TestCacheKeysPinned(t *testing.T) {
 	const (
-		compileKey  = artifact.Key("e8b76fb8031af32c78fa9d66bb92b70cd027d1213f03bc680a022b798413cbc9")
-		annotateKey = artifact.Key("2bd6b12e43e328a749dc49c4f3612cf6ee3e3fd6a92d1c39b34fbe4edb3fe2e5")
-		runKey      = artifact.Key("2eb4c9b775d68a6b68df4c7f67f71d65fde6f1e22419d8df9a901d27ba1cfe4c")
 		programKey  = artifact.Key("b768e1d6e1590f1c69199ac24f32855ddda4f60a7e889e32a780e3b6d7b1a5d8")
-		stageKey    = artifact.Key("eb70cfd041d9073271ab937f591db2b37c3b40ef22bdef9ddfe76e2ca78c91f8")
+		annotateKey = artifact.Key("eb70cfd041d9073271ab937f591db2b37c3b40ef22bdef9ddfe76e2ca78c91f8")
+		runKey      = artifact.Key("900e842863afb19ccbf62770f6d5c9819e7202829262e7f3665be8cca81fdf8e")
 	)
 	s, ts := newTestServer(t, Config{})
 	run := map[string]any{
@@ -49,10 +47,7 @@ func TestCacheKeysPinned(t *testing.T) {
 	for _, k := range []struct {
 		what string
 		key  artifact.Key
-	}{
-		{"compile product", compileKey}, {"annotate product", annotateKey}, {"run", runKey},
-		{"final-program stage", programKey}, {"annotate stage", stageKey},
-	} {
+	}{{"final-program stage", programKey}, {"annotate stage", annotateKey}, {"run", runKey}} {
 		if _, ok := s.cache.Get(k.key); !ok {
 			t.Errorf("no cache entry under the pinned %s key %s", k.what, k.key)
 		}

@@ -4,76 +4,69 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"time"
 
 	"gcsafety/internal/artifact"
 	"gcsafety/internal/cluster"
+	"gcsafety/internal/pipeline"
 )
 
-// The peer protocol: how a clustered gcsafed asks an artifact's owning
-// node to get-or-compute it. The fallback ladder for every cacheable
-// artifact becomes
-//
-//	local memory → local disk → owning peer → local compute
-//
-// where the peer step is attempted only for keys another node owns, is
-// bounded by the peering timeout and circuit breaker, and degrades to
-// local compute on any failure — availability over dedup. The owner side
-// runs the request through its own cache.GetOrCompute, so concurrent
-// requests for one key across the whole cluster coalesce onto a single
-// computation on the owner (cluster-wide singleflight). The recipe a peer
-// sends is the public request itself, from which the owner recomputes
-// the key.
+// peerRung is the third rung of the pipeline's ladder — local memory,
+// local disk, owning peer, local walk — for every artifact the daemon
+// serves: attempted only for keys another node owns, bounded by the
+// peering timeout and circuit breaker, and degrading to the local walk on
+// any failure (availability over dedup). The owner answers through its
+// own ladder, so concurrent requests for one key across the cluster
+// coalesce onto one computation there. The recipe a peer sends names the
+// artifact in the public vocabulary; the owner re-derives the key from it.
+type peerRung struct{ s *Server }
 
-// Artifact family names on the peer wire.
-const (
-	familyAnnotate = "annotate"
-	familyCompile  = "compile"
-)
-
-// noForwardKey marks contexts of peer-originated work: the owner must
-// compute locally, never forward again, or a stale ring could bounce a
-// request between nodes forever.
-type noForwardKey struct{}
-
-func noForward(ctx context.Context) context.Context {
-	return context.WithValue(ctx, noForwardKey{}, true)
-}
-
-func forwardingAllowed(ctx context.Context) bool {
-	v, _ := ctx.Value(noForwardKey{}).(bool)
-	return !v
-}
-
-// peerFetch tries the owning-peer rung of the ladder: resolve the owner
-// for key and, when it is a remote peer, ask it to get-or-compute.
-// ok == false means "compute locally" — because this node owns the key,
-// peering is off, the work is already peer-originated, or the owner was
-// unreachable (counted as a fallback in the cluster stats).
-func (s *Server) peerFetch(ctx context.Context, key artifact.Key, family string, recipe any) (v any, size int64, ok bool) {
-	if s.peering == nil || !forwardingAllowed(ctx) {
+// Fetch asks key's owning peer for the artifact; false means walk
+// locally — because this node owns the key, peering is off, or the owner
+// could not serve it (counted as a fallback in the cluster stats).
+func (p peerRung) Fetch(ctx context.Context, key artifact.Key, rec *pipeline.Recipe) (any, int64, bool) {
+	s := p.s
+	if s.peering == nil {
 		return nil, 0, false
 	}
-	resp, remote, err := s.peering.Fetch(ctx, key, family, recipe)
+	resp, remote, err := s.peering.Fetch(ctx, key, rec)
 	if !remote || err != nil {
 		return nil, 0, false
 	}
-	v, size, derr := s.codec.Decode(resp.CodecKind, resp.Payload)
-	if derr != nil {
+	v, size, err := s.codec.Decode(resp.CodecKind, resp.Payload)
+	if err != nil {
 		// The peer served bytes our codec refuses: as unservable as a
-		// corrupt disk entry. Count it and fall back to computing.
+		// corrupt disk entry. Count it and fall back to the walk.
 		s.peering.NoteDecodeError()
 		return nil, 0, false
 	}
 	return v, size, true
 }
 
-// peerRepair pushes a locally computed artifact to its owning peer,
-// best-effort and asynchronous: the availability-repair path after a
-// fallback compute. The push rides a detached context (the triggering
-// request may already be gone) that still carries its fault set, so
-// chaos suites can exercise cluster.peer.put.
-func (s *Server) peerRepair(ctx context.Context, key artifact.Key, v any) {
-	if s.peering == nil || !forwardingAllowed(ctx) {
+// Computed counts the work this node did: the compiles and annotations
+// the stampede and cluster gates are stated in, and the run and heap
+// metrics of a computed run. When another node owns the key, it offers
+// that node the artifact, best-effort and asynchronous: the placement
+// repair after a fallback. The push rides a detached context (the
+// triggering request may already be gone) that still carries its fault
+// set, so chaos suites can exercise cluster.peer.put.
+func (p peerRung) Computed(ctx context.Context, key artifact.Key, rec *pipeline.Recipe, v any) {
+	s := p.s
+	switch rec.Stage {
+	case pipeline.StageAnnotate:
+		s.annotations.Add(1)
+	case pipeline.StageExecute:
+		res, err := pipeline.Outcome(v)
+		if res != nil {
+			s.metrics.runs.record(res.Instrs, res.Cycles, res.GCStats, err != nil)
+			if snap := res.Snapshot; snap != nil {
+				s.metrics.heap.record(len(snap.Objects), snap.TotalBytes(), snap.Epoch, time.Duration(snap.CaptureNs))
+			}
+		}
+	default:
+		s.compiles.Add(1)
+	}
+	if s.peering == nil || key == "" {
 		return
 	}
 	if _, self := s.peering.Owner(key); self {
@@ -83,18 +76,16 @@ func (s *Server) peerRepair(ctx context.Context, key artifact.Key, v any) {
 	if !ok {
 		return
 	}
-	_, size, err := s.codec.Decode(kind, payload)
-	if err != nil {
-		return
-	}
 	pctx := context.WithoutCancel(ctx)
-	go func() { _ = s.peering.Push(pctx, key, kind, payload, size) }()
+	go func() { _ = s.peering.Push(pctx, key, kind, payload) }()
 }
 
 // handlePeerGet serves /v1/peer/get: get-or-compute an artifact this
-// node owns, returning it in disk-codec wire form. The key is recomputed
-// from the recipe and must match — a peer cannot make this node file an
-// artifact under a key that does not describe it.
+// node owns, returning it in disk-codec wire form. The pipeline
+// re-derives the key from the recipe and refuses a mismatch — a peer
+// cannot make this node file an artifact under a key that does not
+// describe it. An artifact the codec cannot carry (a run that ended in an
+// error) is refused with 422, and the asking node walks.
 func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) error {
 	if s.peering == nil {
 		return errf(http.StatusNotFound, "this node is not clustered")
@@ -103,64 +94,22 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	ctx := noForward(r.Context())
+	var rec pipeline.Recipe
+	if err := json.Unmarshal(req.Recipe, &rec); err != nil {
+		return errf(http.StatusBadRequest, "bad recipe: %v", err)
+	}
+	ctx, cancel := s.runContext(r.Context(), 0)
+	defer cancel()
 	key := artifact.Key(req.Key)
-	var (
-		v   any
-		hit bool
-	)
-	switch req.Family {
-	case familyAnnotate:
-		var ar AnnotateRequest
-		if err := json.Unmarshal(req.Recipe, &ar); err != nil {
-			return errf(http.StatusBadRequest, "bad annotate recipe: %v", err)
-		}
-		_, ak, err := ar.resolve()
-		if err != nil {
-			return err
-		}
-		if ak != key {
-			return errf(http.StatusBadRequest, "recipe hashes to %s, request says %s", ak, req.Key)
-		}
-		a, h, err := s.annotate(ctx, &ar)
-		if err != nil {
-			return err
-		}
-		v, hit = a, h
-	case familyCompile:
-		var cr CompileRequest
-		if err := json.Unmarshal(req.Recipe, &cr); err != nil {
-			return errf(http.StatusBadRequest, "bad compile recipe: %v", err)
-		}
-		opts, ck, err := cr.resolve()
-		if err != nil {
-			return err
-		}
-		if ck != key {
-			return errf(http.StatusBadRequest, "recipe hashes to %s, request says %s", ck, req.Key)
-		}
-		c, h, err := s.compile(ctx, &cr, opts, key)
-		if err != nil {
-			return err
-		}
-		v, hit = c, h
-	default:
-		return errf(http.StatusBadRequest, "unknown artifact family %q", req.Family)
+	v, hit, err := s.pipeline.Serve(ctx, key, &rec)
+	if err != nil {
+		return requestError(err, true)
 	}
 	kind, payload, ok := s.codec.Encode(key, v)
 	if !ok {
-		return errf(http.StatusInternalServerError, "artifact for %s is not encodable", req.Family)
+		return errf(http.StatusUnprocessableEntity, "the %s artifact is not transferable", rec.Stage)
 	}
-	_, size, err := s.codec.Decode(kind, payload)
-	if err != nil {
-		return errf(http.StatusInternalServerError, "artifact for %s does not round-trip: %v", req.Family, err)
-	}
-	writeJSON(w, http.StatusOK, cluster.GetResponse{
-		CodecKind: kind,
-		Payload:   payload,
-		Size:      size,
-		CacheHit:  hit,
-	})
+	writeJSON(w, http.StatusOK, cluster.GetResponse{CodecKind: kind, Payload: payload, CacheHit: hit})
 	return nil
 }
 

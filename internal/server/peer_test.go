@@ -13,6 +13,8 @@ import (
 
 	"gcsafety/internal/artifact"
 	"gcsafety/internal/cluster"
+	"gcsafety/internal/gcsafe"
+	"gcsafety/internal/pipeline"
 )
 
 // peerNode is one member of an in-process cluster: a real Server behind a
@@ -94,16 +96,24 @@ func ownerOf(t *testing.T, nodes []*peerNode, key artifact.Key) int {
 	return -1
 }
 
+// programKey is the key of src's default program: the Optimize stage
+// key that /v1/compile serves {"source": src} under.
+func programKey(t *testing.T, src string) artifact.Key {
+	t.Helper()
+	opts, err := pipeline.BuildSpec{}.BuildOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return opts.Key(unitName(""), src)
+}
+
 // compileSrcOwnedBy finds a source whose default-compile key the given
 // node owns.
 func compileSrcOwnedBy(t *testing.T, nodes []*peerNode, want int) (string, artifact.Key) {
 	t.Helper()
 	for i := 0; i < 1000; i++ {
 		src := fmt.Sprintf("int main() { return %d; }", i)
-		_, key, err := (&CompileRequest{Source: src}).resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
+		key := programKey(t, src)
 		if ownerOf(t, nodes, key) == want {
 			return src, key
 		}
@@ -175,12 +185,15 @@ func TestClusterAnnotatesElidedOnOwner(t *testing.T) {
 	nodes := startPeerCluster(t, 2)
 	var req *AnnotateRequest
 	for i := 0; i < 1000 && req == nil; i++ {
-		r := &AnnotateRequest{Source: fmt.Sprintf("int f(char *p) { return p[%d]; }", i), Elide: true}
-		_, key, err := r.resolve()
+		r := &AnnotateRequest{
+			Source:       fmt.Sprintf("int f(char *p) { return p[%d]; }", i),
+			AnnotateSpec: pipeline.AnnotateSpec{Elide: true},
+		}
+		opts, err := r.AnnotateOptions()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ownerOf(t, nodes, key) == 1 {
+		if ownerOf(t, nodes, pipeline.AnnotateKey(unitName(""), r.Source, opts)) == 1 {
 			req = r
 		}
 	}
@@ -228,13 +241,12 @@ func TestClusterFallsBackWhenOwnerDies(t *testing.T) {
 
 func TestPeerGetRefusesKeyMismatch(t *testing.T) {
 	nodes := startPeerCluster(t, 2)
-	recipe, err := json.Marshal(&CompileRequest{Source: "int main() { return 0; }"})
+	recipe, err := json.Marshal(&pipeline.Recipe{Stage: pipeline.StageOptimize, Name: "input.c", Source: "int main() { return 0; }"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	code := nodes[0].post(t, "/v1/peer/get", &cluster.GetRequest{
 		Key:    "sha256:not-the-key-this-recipe-hashes-to",
-		Family: "compile",
 		Recipe: recipe,
 	}, nil)
 	if code != http.StatusBadRequest {
@@ -253,14 +265,13 @@ func TestPeerGetDoesNotForwardAgain(t *testing.T) {
 	owner := ownerOf(t, nodes, key)
 	other := 1 - owner
 
-	recipe, err := json.Marshal(&CompileRequest{Source: src})
+	recipe, err := json.Marshal(&pipeline.Recipe{Stage: pipeline.StageOptimize, Name: "input.c", Source: src})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out cluster.GetResponse
 	if code := nodes[other].post(t, "/v1/peer/get", &cluster.GetRequest{
 		Key:    string(key),
-		Family: "compile",
 		Recipe: recipe,
 	}, &out); code != http.StatusOK {
 		t.Fatalf("peer get on non-owner: status %d", code)
@@ -274,18 +285,16 @@ func TestPeerGetDoesNotForwardAgain(t *testing.T) {
 func TestPeerPutSeedsOwnerCache(t *testing.T) {
 	nodes := startPeerCluster(t, 2)
 
-	// Find a source whose annotate key node 0 owns, encode the artifact
-	// with the shared codec, and offer it via /v1/peer/put.
+	// Find a source whose annotate key node 0 owns, have a standalone
+	// server annotate it, encode its artifact with the shared codec, and
+	// offer it via /v1/peer/put.
 	var (
 		src string
 		key artifact.Key
 	)
 	for i := 0; i < 1000; i++ {
 		s := fmt.Sprintf("int f() { return %d; }", i)
-		_, k, err := (&AnnotateRequest{Source: s}).resolve()
-		if err != nil {
-			t.Fatal(err)
-		}
+		k := pipeline.AnnotateKey(unitName(""), s, gcsafe.Options{})
 		if ownerOf(t, nodes, k) == 0 {
 			src, key = s, k
 			break
@@ -294,14 +303,24 @@ func TestPeerPutSeedsOwnerCache(t *testing.T) {
 	if src == "" {
 		t.Fatal("no annotate key owned by node 0")
 	}
-	a := &annotated{output: "annotated " + src, size: 64}
-	kind, payload, ok := artifactCodec().Encode(key, a)
+	elsewhere, ts := newTestServer(t, Config{})
+	var want AnnotateResponse
+	if resp, data := postJSON(t, ts.URL+"/v1/annotate", &AnnotateRequest{Source: src}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("annotate elsewhere: status %d: %s", resp.StatusCode, data)
+	} else {
+		unmarshalInto(t, data, &want)
+	}
+	a, ok := elsewhere.cache.Get(key)
 	if !ok {
-		t.Fatal("annotated artifact not encodable")
+		t.Fatal("no annotate artifact under the key")
+	}
+	kind, payload, ok := elsewhere.codec.Encode(key, a)
+	if !ok {
+		t.Fatal("annotate artifact not encodable")
 	}
 	var pr cluster.PutResponse
 	if code := nodes[0].post(t, "/v1/peer/put", &cluster.PutRequest{
-		Key: string(key), CodecKind: kind, Payload: payload, Size: 64,
+		Key: string(key), CodecKind: kind, Payload: payload,
 	}, &pr); code != http.StatusOK || !pr.Stored {
 		t.Fatalf("peer put: status %d stored %v", code, pr.Stored)
 	}
@@ -309,7 +328,7 @@ func TestPeerPutSeedsOwnerCache(t *testing.T) {
 	// The owner now serves the pushed artifact without annotating.
 	var resp AnnotateResponse
 	nodes[0].post(t, "/v1/annotate", &AnnotateRequest{Source: src}, &resp)
-	if !resp.CacheHit || resp.Output != "annotated "+src {
+	if !resp.CacheHit || resp.Output != want.Output {
 		t.Fatalf("pushed artifact not served: %+v", resp)
 	}
 	if nodes[0].srv.annotations.Load() != 0 {
@@ -318,7 +337,7 @@ func TestPeerPutSeedsOwnerCache(t *testing.T) {
 
 	// Undecodable offers are refused, not cached.
 	if code := nodes[0].post(t, "/v1/peer/put", &cluster.PutRequest{
-		Key: string(key), CodecKind: kind, Payload: []byte("garbage"), Size: 7,
+		Key: string(key), CodecKind: kind, Payload: []byte("garbage"),
 	}, nil); code != http.StatusUnprocessableEntity {
 		t.Fatalf("garbage put: status %d", code)
 	}
@@ -364,5 +383,57 @@ func TestPeerUpdateRebalancesLive(t *testing.T) {
 	}
 	if snap.Cluster == nil || snap.Cluster.Rebalances != 1 || len(snap.Cluster.Members) != 2 {
 		t.Fatalf("cluster metrics: %+v", snap.Cluster)
+	}
+}
+
+// TestClusterRunsOnceAcrossNodes: the same /v1/run posted to each node
+// of a cluster runs once cluster-wide — on the run key's owner — and
+// builds its program once; every node answers with the same output.
+func TestClusterRunsOnceAcrossNodes(t *testing.T) {
+	nodes := startPeerCluster(t, 3)
+	req := &RunRequest{CompileRequest: CompileRequest{Name: "once.c", Source: helloC}, RunSpec: pipeline.RunSpec{GCEvery: 64}}
+	var outputs []string
+	for _, nd := range nodes {
+		var resp RunResponse
+		if code := nd.post(t, "/v1/run", req, &resp); code != http.StatusOK {
+			t.Fatalf("run on %s: status %d", nd.url, code)
+		}
+		outputs = append(outputs, resp.Output)
+	}
+	var runs uint64
+	for _, nd := range nodes {
+		runs += nd.srv.metrics.runs.programs.Load()
+	}
+	if runs != 1 || totalCompiles(nodes) != 1 {
+		t.Fatalf("cluster ran %d times and compiled %d times, want 1 and 1", runs, totalCompiles(nodes))
+	}
+	if outputs[0] != "hello, service\n" || outputs[1] != outputs[0] || outputs[2] != outputs[0] {
+		t.Fatalf("outputs %q", outputs)
+	}
+}
+
+// TestClusterHeapdumpsOnceAcrossNodes is the /v1/heapdump twin: one
+// profiled run, and one snapshot, cluster-wide.
+func TestClusterHeapdumpsOnceAcrossNodes(t *testing.T) {
+	nodes := startPeerCluster(t, 3)
+	req := &HeapdumpRequest{RunRequest: RunRequest{CompileRequest: CompileRequest{Name: "dump.c", Source: heapdumpC}}}
+	var live []int
+	for _, nd := range nodes {
+		var resp HeapdumpResponse
+		if code := nd.post(t, "/v1/heapdump", req, &resp); code != http.StatusOK {
+			t.Fatalf("heapdump on %s: status %d", nd.url, code)
+		}
+		live = append(live, resp.LiveObjects)
+	}
+	var runs, snapshots uint64
+	for _, nd := range nodes {
+		runs += nd.srv.metrics.runs.programs.Load()
+		snapshots += nd.srv.metrics.heap.snapshots.Load()
+	}
+	if runs != 1 || snapshots != 1 {
+		t.Fatalf("cluster ran %d times and took %d snapshots, want 1 and 1", runs, snapshots)
+	}
+	if live[0] == 0 || live[1] != live[0] || live[2] != live[0] {
+		t.Fatalf("live objects %v", live)
 	}
 }

@@ -1,6 +1,7 @@
 // Package server implements gcsafed: a long-running HTTP/JSON daemon that
 // exposes the whole reproduction pipeline — annotate, check, compile,
-// peephole, run, and the differential treatment matrix — as a service.
+// peephole, run, heap dumps, and the differential treatment matrix — as a
+// service.
 //
 // Three mechanisms make it safe to point heavy or adversarial traffic at:
 //
@@ -10,11 +11,11 @@
 //   - requests flow through a bounded worker pool (sized to GOMAXPROCS)
 //     with a queue-depth limit that sheds excess load with 429s instead of
 //     letting latency collapse;
-//   - annotation and compilation results land in a content-addressed
-//     artifact cache (internal/artifact) keyed by SHA-256 of (source,
-//     annotation options, machine, opt level, peephole flag), so identical
-//     sources are annotated/compiled exactly once under arbitrary
-//     concurrency and repeated safe-mode builds are near-free.
+//   - the daemon caches nothing of its own: each endpoint serves a stage
+//     artifact (the annotator's report, the built program, or a run of
+//     it) through the pipeline's ladder, which tries the artifact cache's
+//     memory and disk tiers, then the key's owning peer when clustered
+//     (peer.go), and computes once per key only when all three miss.
 //
 // Observability is JSON counters at /metrics: per-endpoint request counts
 // and latency histograms, cache hits/misses/evictions, shed requests, and
@@ -123,11 +124,9 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	cache *artifact.Cache
-	// pipeline is the stage-graph runner behind /v1/annotate, /v1/check,
-	// /v1/compile and /v1/run. It shares the server's artifact cache (and
-	// therefore its LRU budget and disk tier), so the whole-product
-	// annotate/compile entries and the per-stage artifacts beneath them
-	// compete for the same bytes and survive restarts together.
+	// pipeline is the stage-graph runner behind every endpoint but
+	// /v1/matrix, over the server's artifact cache (its LRU budget and
+	// disk tier), with peerRung as its ladder's peer rung.
 	pipeline *pipeline.Runner
 	pool     *pool
 	metrics  *metrics
@@ -149,9 +148,9 @@ type Server struct {
 	diskRecover artifact.RecoverStats
 	diskErr     error
 
-	// compiles and annotations count actual pipeline executions (cache
-	// misses that ran codegen / the annotator) — the counters the
-	// stampede guarantee is stated in terms of.
+	// compiles and annotations count the programs and reports this node
+	// computed (peerRung.Computed) — the counters the stampede guarantee
+	// and the cluster's dedup gate are stated in terms of.
 	compiles    atomic.Uint64
 	annotations atomic.Uint64
 }
@@ -169,8 +168,9 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 	}
 	s.pipeline = pipeline.NewRunner(s.cache)
+	s.pipeline.SetPeer(peerRung{s})
 	s.peering = cfg.Peering
-	s.codec = artifactCodec()
+	s.codec = pipeline.Codec()
 	if cfg.CacheDir != "" {
 		disk, rs, err := artifact.OpenDisk(cfg.CacheDir)
 		s.diskRecover, s.diskErr = rs, err
@@ -198,9 +198,6 @@ func New(cfg Config) *Server {
 // run to completion. Call it before http.Server.Shutdown.
 func (s *Server) StartDrain() { s.draining.Store(true) }
 
-// Draining reports whether graceful shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // DiskErr reports why the disk tier is absent (nil when attached or
 // never requested).
 func (s *Server) DiskErr() error { return s.diskErr }
@@ -222,8 +219,8 @@ func (s *Server) Peering() *cluster.Peering { return s.peering }
 // CacheStats exposes cache counters (tests, metrics).
 func (s *Server) CacheStats() artifact.Stats { return s.cache.Stats() }
 
-// Compiles reports how many times the server actually ran the compiler
-// (cache hits excluded).
+// Compiles reports how many programs the server built for a request
+// (served ones excluded).
 func (s *Server) Compiles() uint64 { return s.compiles.Load() }
 
 // PipelineStats exposes the per-stage execution counters (tests, metrics).

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -461,12 +462,12 @@ func TestCompileStampede(t *testing.T) {
 	if got := s.Compiles(); got != 1 {
 		t.Fatalf("compile counter = %d, want exactly 1", got)
 	}
-	// The one compile that ran executed all seven pipeline stages cold, so
-	// the shared cache records 1 outer miss + 7 stage misses; the other 99
-	// requests coalesced on the outer whole-product entry.
+	// The one compile that ran missed the Peephole key its ladder files
+	// and the six stages it walked to compute it; the other 99 requests
+	// coalesced on the Peephole key.
 	st := s.CacheStats()
-	if st.Hits != n-1 || st.Misses != 8 {
-		t.Fatalf("cache stats: %+v, want %d hits / 8 misses", st, n-1)
+	if st.Hits != n-1 || st.Misses != 7 {
+		t.Fatalf("cache stats: %+v, want %d hits / 7 misses", st, n-1)
 	}
 	for _, ps := range s.PipelineStats() {
 		if ps.Misses > 1 {
@@ -556,11 +557,11 @@ func TestMetricsAdvance(t *testing.T) {
 	if after.Runs.Programs != before.Runs.Programs+1 || after.Runs.Cycles == 0 {
 		t.Fatalf("run metrics did not advance: %+v", after.Runs)
 	}
-	// One cold compile = 1 outer miss + 5 stage misses (lex, parse,
-	// typecheck, codegen, optimize — no annotation, no peephole), and one
-	// execution; the second identical run hits the outer whole-product
-	// entry and the execution.
-	if after.Cache.Hits != 2 || after.Cache.Misses != 7 || after.Compiles != 1 {
+	// One cold build = the Optimize key its ladder files + 4 stage misses
+	// (lex, parse, typecheck, codegen — no annotation, no peephole), and
+	// one execution, whose walk finds the program built; the second
+	// identical run hits the program and the execution.
+	if after.Cache.Hits != 3 || after.Cache.Misses != 6 || after.Compiles != 1 {
 		t.Fatalf("cache counters: %+v compiles=%d", after.Cache, after.Compiles)
 	}
 	if len(after.Pipeline) == 0 {
@@ -619,5 +620,87 @@ func TestDeeplyNestedSourceIs422(t *testing.T) {
 	resp, data := postJSON(t, ts.URL+"/v1/compile", CompileRequest{Name: "deep.c", Source: src})
 	if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(data), "nesting exceeds") {
 		t.Fatalf("status = %d, want 422 naming the nesting bound: %.200s", resp.StatusCode, data)
+	}
+}
+
+// hostileForms are the nested sources of the pipeline's
+// TestHostileNestingFailsAtParse, each about 1 MB (a twentieth under
+// -short), and a valid main followed by 1,048,000 bad characters; each
+// fails the build at the parse stage.
+func hostileForms() []struct{ name, src string } {
+	size := func(n int) int {
+		if testing.Short() {
+			return n / 20
+		}
+		return n
+	}
+	nested := func(open, core, close string, n int) string {
+		return "int main(void) { int x = 1; return " + strings.Repeat(open, size(n)) + core + strings.Repeat(close, size(n)) + "; }"
+	}
+	return []struct{ name, src string }{
+		{"parens", nested("(", "1", ")", 500_000)},
+		{"prefix", nested("! ", "x", "", 500_000)},
+		{"casts", nested("(int)", "x", "", 200_000)},
+		{"assignments", nested("x=", "1", "", 500_000)},
+		{"conditionals", nested("x?x:", "x", "", 250_000)},
+		{"blocks", "int main(void) { " + strings.Repeat("{", size(500_000)) + strings.Repeat("}", size(500_000)) + " }"},
+		{"array declarator", "int x" + strings.Repeat("[1]", size(333_000)) + ";"},
+		{"function declarator", "int f" + strings.Repeat("(int (*)", size(110_000)) + "(void)" + strings.Repeat(")", size(110_000)) + ";"},
+		{"bad characters", "int main(void) { return 0; }" + strings.Repeat("@", size(1_048_000))},
+	}
+}
+
+// TestHostileSourcesAre422: every source endpoint answers each hostile
+// form with 422 within 2 s, and no handler panics. The flat x+x+… chain
+// is valid C and goes to the annotator's endpoints only, which must
+// answer it within the same bound; the codegen endpoints still take
+// quadratic time on it.
+func TestHostileSourcesAre422(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post := func(path string, body any, want int, form string) {
+		t.Helper()
+		start := time.Now()
+		resp, data := postJSON(t, ts.URL+path, body)
+		if resp.StatusCode != want {
+			t.Errorf("%s %s: status %d, want %d: %.200s", path, form, resp.StatusCode, want, data)
+		}
+		if d := time.Since(start); !testing.Short() && d > 2*time.Second {
+			t.Errorf("%s %s: answering took %v", path, form, d)
+		}
+	}
+	for _, f := range hostileForms() {
+		for _, path := range []string{"/v1/annotate", "/v1/check", "/v1/compile", "/v1/run", "/v1/heapdump"} {
+			post(path, map[string]any{"name": "hostile.c", "source": f.src}, http.StatusUnprocessableEntity, f.name)
+		}
+	}
+	terms := 500_000
+	if testing.Short() {
+		terms /= 20
+	}
+	flat := "int main(void) { int x = 1; return x" + strings.Repeat("+x", terms) + "; }"
+	for _, path := range []string{"/v1/annotate", "/v1/check"} {
+		post(path, map[string]any{"name": "flat.c", "source": flat}, http.StatusOK, "flat chain")
+	}
+	if snap := getMetrics(t, ts.URL); snap.Panics != 0 {
+		t.Fatalf("%d handler panics", snap.Panics)
+	}
+}
+
+// TestBadCharactersLeaveLittleHeap: three 1 MiB bodies of bad characters
+// behind distinct mains leave their scans in the cache, and the scans
+// keep a few errors each, not one per character.
+func TestBadCharactersLeaveLittleHeap(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for i := 0; i < 3; i++ {
+		src := fmt.Sprintf("int main(void) { return %d; }", i) + strings.Repeat("@", 1_048_000)
+		if resp, data := postJSON(t, ts.URL+"/v1/compile", map[string]any{"source": src}); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("status %d: %.200s", resp.StatusCode, data)
+		}
+	}
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	if ms.HeapInuse > 64<<20 {
+		t.Fatalf("heap in use %d MB after three bad-character bodies", ms.HeapInuse>>20)
 	}
 }
