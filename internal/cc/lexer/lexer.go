@@ -40,8 +40,7 @@ func (l *Lexer) DefineType(name string) { l.typedefs[name] = true }
 // IsType reports whether name is a registered typedef name.
 func (l *Lexer) IsType(name string) bool { return l.typedefs[name] }
 
-// Errs returns the first scanning errors encountered so far, at most
-// maxErrs of them.
+// Errs returns the first maxErrs scanning errors encountered so far.
 func (l *Lexer) Errs() []error { return l.errs }
 
 // Dropped returns how many scanning errors so far Errs does not hold.

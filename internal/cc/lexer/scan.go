@@ -17,9 +17,7 @@ import (
 // A Scan is immutable; Replay hands out independent cursors over it.
 type Scan struct {
 	Tokens []token.Token
-	// Errs holds the first scan errors, at most maxErrs of them, as a
-	// Lexer keeps them.
-	Errs []error
+	Errs   []error // the first maxErrs scan errors, as a Lexer keeps them
 	// errTok[k] is the index of the token whose scanning reported Errs[k]:
 	// a live lexer has reported Errs[k] once that token is delivered.
 	errTok []int

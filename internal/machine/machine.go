@@ -248,6 +248,7 @@ type Program struct {
 	Order   []string          // definition order, for listings
 	Data    []byte            // static segment image, based at DataBase
 	Globals map[string]uint32 // symbol -> absolute address
+	size    int               // Size, once Seal has recorded it
 }
 
 // Clone returns a copy of the program whose functions and code slices are
@@ -297,6 +298,9 @@ func (p *Program) Listing() string {
 // measure ("these numbers include only the code that was actually
 // processed, not the standard libraries").
 func (p *Program) Size() int {
+	if p.size > 0 {
+		return p.size
+	}
 	n := 0
 	for _, name := range p.Order {
 		for _, in := range p.Funcs[name].Code {
@@ -309,6 +313,10 @@ func (p *Program) Size() int {
 	}
 	return n
 }
+
+// Seal records Size for a program that will not change again, such as a
+// cached one, so that Size costs nothing from then on.
+func (p *Program) Seal() { p.size = p.Size() }
 
 // FuncSize returns the instruction count of one function.
 func (f *Func) Size() int {

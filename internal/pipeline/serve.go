@@ -11,14 +11,13 @@ import (
 	"gcsafety/internal/machine"
 )
 
-// The daemon's ladder. gcsafed serves three stage artifacts: the
-// annotator's report, the built program and a run of it. Report, Program
-// and Run look the stage's key up in memory, then on disk, then at the
-// key's owning Peer, and walk — compute the stage from its upstream
-// stages — only when all three miss: a restarted daemon serves a run from
-// disk without rebuilding its program, and a node that does not own a key
-// never compiles it. The ladder runs under the cache's singleflight for
-// the key, so the walk computes the stage without filing it.
+// The daemon's ladder: Report, Program and Run look their stage's key up
+// in memory, then on disk, then at the key's owning Peer, and walk —
+// compute the stage from its upstream stages — only when all three miss,
+// so a restarted daemon serves a run from disk without rebuilding its
+// program, and a node that does not own a key never compiles it. The
+// ladder runs under the cache's singleflight for the key, so the walk
+// computes the stage without filing it.
 
 // Recipe names one artifact the daemon serves by its inputs, in the
 // wire's vocabulary: the stage (a program's is its build's LastStage),
@@ -119,11 +118,7 @@ func (j *job) program() *job {
 // from disk or a peer); hit, here as for Program and Run, means this
 // node's memory or disk held it.
 func (r *Runner) Report(ctx context.Context, rec *Recipe) (*gcsafe.Result, bool, error) {
-	j, err := rec.resolve()
-	if err != nil {
-		return nil, false, err
-	}
-	v, hit, err := r.serve(ctx, j, true)
+	v, hit, err := r.serveRecipe(ctx, rec, false)
 	if err != nil {
 		return nil, false, err
 	}
@@ -133,11 +128,7 @@ func (r *Runner) Report(ctx context.Context, rec *Recipe) (*gcsafe.Result, bool,
 // Program returns the program a program recipe builds, or an execute
 // recipe runs.
 func (r *Runner) Program(ctx context.Context, rec *Recipe) (*machine.Program, bool, error) {
-	j, err := rec.resolve()
-	if err != nil {
-		return nil, false, err
-	}
-	v, hit, err := r.serve(ctx, j.program(), true)
+	v, hit, err := r.serveRecipe(ctx, rec, true)
 	if err != nil {
 		return nil, false, err
 	}
@@ -150,16 +141,23 @@ func (r *Runner) Program(ctx context.Context, rec *Recipe) (*machine.Program, bo
 // own, a context error, an injected fault, a *RecipeError, or a
 // *StageError from the build.
 func (r *Runner) Run(ctx context.Context, rec *Recipe) (*interp.Result, bool, error) {
+	v, hit, err := r.serveRecipe(ctx, rec, false)
+	if err != nil {
+		return nil, false, err
+	}
+	res, err := v.(*execution).priced(rec.job.run.Config)
+	return res, hit, err
+}
+
+func (r *Runner) serveRecipe(ctx context.Context, rec *Recipe, program bool) (any, bool, error) {
 	j, err := rec.resolve()
 	if err != nil {
 		return nil, false, err
 	}
-	v, hit, err := r.serve(ctx, j, true)
-	if err != nil {
-		return nil, false, err
+	if program {
+		j = j.program()
 	}
-	res, err := v.(*execution).priced(j.run.Config)
-	return res, hit, err
+	return r.serve(ctx, j, true)
 }
 
 // Serve is the owner's side of the peer rung: the cached form of the

@@ -31,10 +31,12 @@ type wireProg struct {
 	Stats peephole.Stats
 }
 
-// progAccountedSize is the LRU-budget charge of a compiled program; the
-// same formula the Optimize/Peephole stages use, so a disk-restored
-// entry charges the budget exactly like a freshly computed one.
+// progAccountedSize seals a program about to be cached and returns its
+// LRU-budget charge; the Optimize/Peephole stages and the decoder share
+// it, so a disk-restored entry charges the budget exactly like a freshly
+// computed one.
 func progAccountedSize(p *machine.Program) int64 {
+	p.Seal()
 	return int64(p.Size())*40 + int64(len(p.Data)) + 256
 }
 

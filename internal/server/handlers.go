@@ -59,8 +59,8 @@ func unitName(name string) string {
 // requestError translates a ladder failure into the handler error
 // vocabulary: a bad recipe is a 400, context errors pass through raw (the
 // middleware maps them to 504/499), injected faults are 500s, and stage
-// failures are 422s, prefixed with their build phase unless the caller
-// is the annotator's endpoint, which has always reported them bare.
+// failures are 422s, prefixed with their build phase except on the
+// annotator's endpoints.
 func requestError(err error, phase bool) error {
 	var re *pipeline.RecipeError
 	var se *pipeline.StageError
@@ -85,10 +85,7 @@ func (s *Server) annotate(ctx context.Context, req *AnnotateRequest) (*gcsafe.Re
 	res, hit, err := s.pipeline.Report(ctx, &pipeline.Recipe{
 		Stage: pipeline.StageAnnotate, Name: unitName(req.Name), Source: req.Source, Annotator: req.AnnotateSpec,
 	})
-	if err != nil {
-		return nil, false, requestError(err, false)
-	}
-	return res, hit, nil
+	return res, hit, requestError(err, false)
 }
 
 // warnings spells a report's diagnostics for the wire.
@@ -183,16 +180,13 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	opts, err := req.BuildOptions()
-	if err != nil {
-		return errf(http.StatusBadRequest, "%v", err)
-	}
 	prog, hit, err := s.pipeline.Program(r.Context(), &pipeline.Recipe{
 		Stage: req.LastStage(), Name: unitName(req.Name), Source: req.Source, Spec: pipeline.Spec{BuildSpec: req.BuildSpec},
 	})
 	if err != nil {
 		return requestError(err, true)
 	}
+	opts, _ := req.BuildOptions() // Program has accepted the spec
 	resp := CompileResponse{Size: prog.Size(), Machine: opts.Machine.Name, CacheHit: hit}
 	if req.Listing {
 		resp.Listing = prog.Listing()
