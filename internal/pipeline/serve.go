@@ -239,10 +239,10 @@ func (r *Runner) walk(ctx context.Context, j *job) (any, int64, error) {
 		if err != nil {
 			return nil, 0, err
 		}
-		run := j.run
+		prog, run := programOf(v), j.run
 		run.Faults = faultinject.FromContext(ctx)
 		if v, _, err = r.run(ctx, StageExecute, "", nil, func() (any, int64, error) {
-			return execute(ctx, programOf(v), run)
+			return execute(ctx, prog, run)
 		}); err != nil {
 			return nil, 0, err
 		}
