@@ -173,10 +173,12 @@ func (p *Peering) Owner(key artifact.Key) (addr string, self bool) {
 // treat "owner unreachable" uniformly, whatever the transport detail.
 var ErrPeerUnavailable = errors.New("cluster: owning peer unavailable")
 
-// Fetch resolves the owner for key and, when it is a remote peer, asks
-// it to get-or-compute the artifact recipe describes.
+// Fetch resolves the owner of home — the key an artifact is placed by:
+// its own, or another that keeps related artifacts together — and, when
+// it is a remote peer, asks it to get-or-compute the artifact under key
+// that recipe describes.
 //
-//	remote == false            this node owns the key: compute locally,
+//	remote == false            this node owns home: compute locally,
 //	                           not a fallback (resp and err are nil)
 //	remote == true, err == nil the owner served the artifact
 //	remote == true, err != nil the owner was unreachable or refused:
@@ -185,8 +187,8 @@ var ErrPeerUnavailable = errors.New("cluster: owning peer unavailable")
 // The operation is bounded by Config.PeerTimeout and the cluster.peer.get
 // fault point fires before any network activity, so chaos suites can
 // sever the peer link deterministically.
-func (p *Peering) Fetch(ctx context.Context, key artifact.Key, recipe any) (resp *GetResponse, remote bool, err error) {
-	owner, self := p.Owner(key)
+func (p *Peering) Fetch(ctx context.Context, home, key artifact.Key, recipe any) (resp *GetResponse, remote bool, err error) {
+	owner, self := p.Owner(home)
 	if self {
 		p.ownedLocal.Add(1)
 		return nil, false, nil
@@ -226,10 +228,10 @@ func (p *Peering) Fetch(ctx context.Context, key artifact.Key, recipe any) (resp
 	return &out, true, nil
 }
 
-// Push offers an artifact to its owning peer, best-effort: the repair
-// path after a fallback compute. Owning the key yourself is a no-op.
-func (p *Peering) Push(ctx context.Context, key artifact.Key, codecKind string, payload []byte) error {
-	owner, self := p.Owner(key)
+// Push offers the artifact under key to home's owner, best-effort: the
+// repair path after a fallback compute. Owning home yourself is a no-op.
+func (p *Peering) Push(ctx context.Context, home, key artifact.Key, codecKind string, payload []byte) error {
+	owner, self := p.Owner(home)
 	if self {
 		return nil
 	}

@@ -61,7 +61,7 @@ func TestFetchSelfOwnedIsLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, remote, err := p.Fetch(context.Background(), "anykey", map[string]any{})
+	resp, remote, err := p.Fetch(context.Background(), "anykey", "anykey", map[string]any{})
 	if resp != nil || remote || err != nil {
 		t.Fatalf("single-node fetch: resp=%v remote=%v err=%v", resp, remote, err)
 	}
@@ -77,7 +77,7 @@ func TestFetchFromOwningPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := ownKey(t, p, ts.URL)
-	resp, remote, err := p.Fetch(context.Background(), key, map[string]any{"name": "x.c"})
+	resp, remote, err := p.Fetch(context.Background(), key, key, map[string]any{"name": "x.c"})
 	if err != nil || !remote {
 		t.Fatalf("fetch: remote=%v err=%v", remote, err)
 	}
@@ -103,7 +103,7 @@ func TestFetchDeadPeerFallsBack(t *testing.T) {
 	}
 	key := ownKey(t, p, dead)
 	start := time.Now()
-	_, remote, ferr := p.Fetch(context.Background(), key, map[string]any{})
+	_, remote, ferr := p.Fetch(context.Background(), key, key, map[string]any{})
 	if !remote || !errors.Is(ferr, ErrPeerUnavailable) {
 		t.Fatalf("fetch against dead peer: remote=%v err=%v", remote, ferr)
 	}
@@ -117,7 +117,7 @@ func TestFetchDeadPeerFallsBack(t *testing.T) {
 	// Enough failures open the per-peer breaker; fetches then fast-fail
 	// and the peer is reported unhealthy.
 	for i := 0; i < 4; i++ {
-		_, _, _ = p.Fetch(context.Background(), key, map[string]any{})
+		_, _, _ = p.Fetch(context.Background(), key, key, map[string]any{})
 	}
 	st := p.Stats()
 	if !st.Peers[0].BreakerOpen {
@@ -137,7 +137,7 @@ func TestFetchFaultPointSeversLink(t *testing.T) {
 	}
 	ctx := faultinject.WithContext(context.Background(), set)
 	key := ownKey(t, p, ts.URL)
-	_, remote, ferr := p.Fetch(ctx, key, map[string]any{})
+	_, remote, ferr := p.Fetch(ctx, key, key, map[string]any{})
 	if !remote || !errors.Is(ferr, ErrPeerUnavailable) || !errors.Is(ferr, faultinject.ErrInjected) {
 		t.Fatalf("injected sever: remote=%v err=%v", remote, ferr)
 	}
@@ -156,7 +156,7 @@ func TestPushToOwner(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := ownKey(t, p, ts.URL)
-	if err := p.Push(context.Background(), key, "blob/v1", []byte("x")); err != nil {
+	if err := p.Push(context.Background(), key, key, "blob/v1", []byte("x")); err != nil {
 		t.Fatalf("push: %v", err)
 	}
 	if puts.Load() != 1 {
@@ -164,7 +164,7 @@ func TestPushToOwner(t *testing.T) {
 	}
 	// Pushing a self-owned key is a no-op, not an error.
 	self := ownKey(t, p, p.Self())
-	if err := p.Push(context.Background(), self, "blob/v1", []byte("x")); err != nil {
+	if err := p.Push(context.Background(), self, self, "blob/v1", []byte("x")); err != nil {
 		t.Fatalf("self push: %v", err)
 	}
 	if st := p.Stats(); st.Pushes != 1 {

@@ -224,10 +224,9 @@ func (r *Runner) frontEnd(ctx context.Context, name, src string, k keys, rep *Bu
 // opts.Elide the stage first walks through Liveness: the elision facts
 // the annotator consults. The analysis only reads the shared AST, so no
 // clone is needed; the facts artifact is itself immutable and
-// position-keyed, so it applies equally to the Annotate stage's clone.
-// With tree set the caller compiles the annotated AST, so a report that
-// came from disk or a peer is annotated again on a fresh clone.
-func (r *Runner) annotate(ctx context.Context, ck *checked, k keys, opts gcsafe.Options, rep *BuildReport, tree bool) (*annotated, error) {
+// position-keyed, so it applies equally to the Annotate stage's clone,
+// and annotate returns the facts for a caller that needs the tree again.
+func (r *Runner) annotate(ctx context.Context, ck *checked, k keys, opts gcsafe.Options, rep *BuildReport) (*annotated, *liveness.Facts, error) {
 	var facts *liveness.Facts
 	if opts.Elide {
 		v, _, err := r.run(ctx, StageLiveness, k.live, rep, func() (any, int64, error) {
@@ -235,7 +234,7 @@ func (r *Runner) annotate(ctx context.Context, ck *checked, k keys, opts gcsafe.
 			return facts, int64(facts.Units())*96 + 256, nil
 		})
 		if err != nil {
-			return nil, &StageError{Stage: StageLiveness, Err: err}
+			return nil, nil, &StageError{Stage: StageLiveness, Err: err}
 		}
 		facts = v.(*liveness.Facts)
 	}
@@ -254,7 +253,7 @@ func (r *Runner) annotate(ctx context.Context, ck *checked, k keys, opts gcsafe.
 		return &annotated{file: clone, res: res}, int64(len(res.Output))*8 + 512, nil
 	})
 	if err != nil {
-		return nil, &StageError{Stage: StageAnnotate, Err: err}
+		return nil, nil, &StageError{Stage: StageAnnotate, Err: err}
 	}
 	a := v.(*annotated)
 	if opts.Elide && rep != nil {
@@ -267,7 +266,7 @@ func (r *Runner) annotate(ctx context.Context, ck *checked, k keys, opts gcsafe.
 		st.Kept = st.Considered - st.Elided
 		rep.Elision = &st
 	}
-	return a, nil
+	return a, facts, nil
 }
 
 // Annotate runs the graph up to and including the Annotate stage — the
@@ -279,7 +278,7 @@ func (r *Runner) Annotate(ctx context.Context, name, src string, opts gcsafe.Opt
 	if err != nil {
 		return nil, rep, err
 	}
-	a, err := r.annotate(ctx, ck, k, opts, rep, false)
+	a, _, err := r.annotate(ctx, ck, k, opts, rep)
 	if err != nil {
 		return nil, rep, err
 	}
@@ -308,9 +307,10 @@ func (r *Runner) build(ctx context.Context, name, src string, opts Options, k ke
 		return nil, err
 	}
 	file := ck.file
+	var facts *liveness.Facts
 	if opts.Annotate {
-		a, err := r.annotate(ctx, ck, k, opts.AnnotateOptions, rep, true)
-		if err != nil {
+		var a *annotated
+		if a, facts, err = r.annotate(ctx, ck, k, opts.AnnotateOptions, rep); err != nil {
 			return nil, err
 		}
 		file = a.file
@@ -324,6 +324,15 @@ func (r *Runner) build(ctx context.Context, name, src string, opts Options, k ke
 		DisableLoadFolding:   opts.DisableLoadFolding,
 	}
 	v, _, err := r.run(ctx, StageCodegen, k.codegen, rep, func() (any, int64, error) {
+		if file == nil {
+			// The report came from disk or a peer without its tree:
+			// annotate a fresh clone for Codegen, and leave the cached
+			// report as it is.
+			file = ck.file.Clone()
+			if _, err := gcsafe.AnnotateWithFacts(file, opts.AnnotateOptions, facts); err != nil {
+				return nil, 0, err
+			}
+		}
 		ir, err := codegen.Gen(file, cgOpts)
 		if err != nil {
 			return nil, 0, err

@@ -544,8 +544,28 @@ func TestWireRoundTrip(t *testing.T) {
 	if size != x.size() {
 		t.Errorf("accounted size %d != %d", size, x.size())
 	}
-	if _, _, ok := codec.Encode("k5", &execution{res: x.res, err: errors.New("fault")}); ok {
-		t.Error("an execution that ended in an error was encoded")
+	// A run that ended in an error keeps its text and the two facts the
+	// daemon reads from it: the step limit and a failed pointer check.
+	for _, runErr := range []error{
+		errors.New("machine fault"),
+		fmt.Errorf("thread 2: %w", interp.ErrInstrLimit),
+		fmt.Errorf("thread 1: %w", &interp.CheckError{Err: errors.New("p+8 left its object")}),
+	} {
+		kind, data, ok := codec.Encode("k5", &execution{res: x.res, err: runErr})
+		if !ok {
+			t.Fatalf("execution ending in %q did not encode", runErr)
+		}
+		v, _, err := codec.Decode(kind, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := v.(*execution)
+		var ce, gotCE *interp.CheckError
+		if got.err.Error() != runErr.Error() || got.res.Output != x.res.Output ||
+			errors.Is(got.err, interp.ErrInstrLimit) != errors.Is(runErr, interp.ErrInstrLimit) ||
+			errors.As(got.err, &gotCE) != errors.As(runErr, &ce) || (ce != nil && gotCE.Error() != ce.Error()) {
+			t.Errorf("run error %q came back as %q", runErr, got.err)
+		}
 	}
 	// The annotator's report round-trips without its tree.
 	a := &annotated{file: res.Annotate.File, res: res.Annotate}

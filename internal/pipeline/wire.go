@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"errors"
 	"fmt"
 
 	"gcsafety/internal/artifact"
@@ -12,17 +13,36 @@ import (
 
 // Wire kinds for the stage artifacts that survive a process restart and
 // travel between peers: the annotator's report (Annotate), the compiled
-// programs (Optimize, Peephole) and the error-free executions. The
-// front-end artifacts — token streams, ASTs, IR — are pointer graphs that
-// gob cannot round-trip, and they rebuild quickly, so the Annotate
-// artifact crosses without its tree; a run error is an arbitrary value,
-// and its run repeats to the same answer. They simply stay memory-only.
+// programs (Optimize, Peephole) and the executions. The front-end
+// artifacts — token streams, ASTs, IR — are pointer graphs that gob
+// cannot round-trip, and they rebuild quickly, so the Annotate artifact
+// crosses without its tree. They simply stay memory-only.
 const (
 	kindAnnotate = "pipeline.annotate/v1"
 	kindProg     = "pipeline.prog/v1"
 	kindPost     = "pipeline.post/v1"
-	kindExec     = "pipeline.exec/v1"
+	kindExec     = "pipeline.exec/v2"
 )
+
+// wireExec is a run's result and its error's text, with the two facts a
+// served run's caller reads from the error: the step limit, and a failed
+// pointer check's own text.
+type wireExec struct {
+	Res       *interp.Result
+	Err       string
+	StepLimit bool
+	Check     *string
+}
+
+// runError is a run error decoded from the wire; it wraps
+// interp.ErrInstrLimit, an *interp.CheckError, or nothing.
+type runError struct {
+	msg  string
+	wrap error
+}
+
+func (e *runError) Error() string { return e.msg }
+func (e *runError) Unwrap() error { return e.wrap }
 
 // wireProg is a program and, under Peephole, what the postprocessor
 // changed.
@@ -61,10 +81,16 @@ func encode(key artifact.Key, v any) (string, []byte, bool) {
 	case *postprocessed:
 		kind, w = kindPost, &wireProg{Prog: v.prog, Stats: v.stats}
 	case *execution:
-		if v.err != nil || v.res == nil {
-			return "", nil, false
+		x := &wireExec{Res: v.res}
+		if v.err != nil {
+			x.Err, x.StepLimit = v.err.Error(), errors.Is(v.err, interp.ErrInstrLimit)
+			var ce *interp.CheckError
+			if errors.As(v.err, &ce) {
+				msg := ce.Err.Error()
+				x.Check = &msg
+			}
 		}
-		kind, w = kindExec, v.res
+		kind, w = kindExec, x
 	default:
 		return "", nil, false
 	}
@@ -93,9 +119,21 @@ func decode(kind string, data []byte) (any, int64, error) {
 		}
 		return &postprocessed{prog: w.Prog, stats: w.Stats}, progAccountedSize(w.Prog), nil
 	case kindExec:
-		x := &execution{res: &interp.Result{}}
-		if err := artifact.GobDecode(data, x.res); err != nil {
+		var w wireExec
+		if err := artifact.GobDecode(data, &w); err != nil {
 			return nil, 0, err
+		}
+		x := &execution{res: w.Res}
+		switch {
+		case w.StepLimit:
+			x.err = &runError{w.Err, interp.ErrInstrLimit}
+		case w.Check != nil:
+			x.err = &runError{w.Err, &interp.CheckError{Err: errors.New(*w.Check)}}
+		case w.Err != "":
+			x.err = &runError{msg: w.Err}
+		}
+		if x.res == nil && x.err == nil {
+			return nil, 0, errors.New("execution artifact with no result")
 		}
 		return x, x.size(), nil
 	}

@@ -389,3 +389,27 @@ func TestCompileWritesOneProgramEntry(t *testing.T) {
 		t.Fatalf("program entries on disk: %v, want exactly one", programs)
 	}
 }
+
+// TestRestoredReportCompiles: an Annotate artifact restored from disk
+// carries the report without its tree, and a compile that misses Codegen
+// on it annotates a fresh clone instead of compiling no tree.
+func TestRestoredReportCompiles(t *testing.T) {
+	dir := t.TempDir()
+	_, ts1 := newTestServer(t, Config{CacheDir: dir})
+	if resp, data := postJSON(t, ts1.URL+"/v1/annotate", map[string]any{"source": helloC}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("annotate: %d %s", resp.StatusCode, data)
+	}
+	_, ts2 := newTestServer(t, Config{CacheDir: dir})
+	for _, optimize := range []bool{false, true} {
+		body := map[string]any{"source": helloC, "annotate": "safe", "optimize": optimize}
+		resp, data := postJSON(t, ts2.URL+"/v1/run", body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("run after restart (optimize %v): %d %s", optimize, resp.StatusCode, data)
+		}
+		var rr RunResponse
+		unmarshalInto(t, data, &rr)
+		if rr.Output != "hello, service\n" {
+			t.Fatalf("run after restart (optimize %v): %+v", optimize, rr)
+		}
+	}
+}

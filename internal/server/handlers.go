@@ -180,16 +180,15 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	prog, hit, err := s.pipeline.Program(r.Context(), &pipeline.Recipe{
+	sv, err := s.pipeline.Program(r.Context(), &pipeline.Recipe{
 		Stage: req.LastStage(), Name: unitName(req.Name), Source: req.Source, Spec: pipeline.Spec{BuildSpec: req.BuildSpec},
 	})
 	if err != nil {
 		return requestError(err, true)
 	}
-	opts, _ := req.BuildOptions() // Program has accepted the spec
-	resp := CompileResponse{Size: prog.Size(), Machine: opts.Machine.Name, CacheHit: hit}
+	resp := CompileResponse{Size: sv.Prog.Size(), Machine: sv.Machine.Name, CacheHit: sv.Hit}
 	if req.Listing {
-		resp.Listing = prog.Listing()
+		resp.Listing = sv.Prog.Listing()
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil
@@ -202,7 +201,8 @@ type RunRequest struct {
 	pipeline.RunSpec
 	// MaxSteps caps executed instructions; clamped to the server ceiling.
 	MaxSteps uint64 `json:"max_steps"`
-	// TimeoutMs caps wall time; clamped to the server ceiling.
+	// TimeoutMs caps the run's wall time, not a wait on a peer; clamped
+	// to the server ceiling.
 	TimeoutMs int64 `json:"timeout_ms"`
 }
 
@@ -224,35 +224,27 @@ type RunResponse struct {
 	CacheHit    bool   `json:"cache_hit"`
 }
 
-// execute serves the request's run, rec, from the pipeline's ladder,
-// with the request's injected faults armed, under its run timeout. hit means this node's
-// memory or disk held the run, and runErr is the run's own error, which
-// is data to the caller; err is a rejected request, a failed build or a
-// context error.
-func (s *Server) execute(r *http.Request, req *RunRequest, rec *pipeline.Recipe) (res *interp.Result, hit bool, runErr, err error) {
-	ctx, cancel := s.runContext(r.Context(), req.TimeoutMs)
-	defer cancel()
-	res, hit, runErr = s.pipeline.Run(ctx, rec)
-	var re *pipeline.RecipeError
-	var se *pipeline.StageError
-	if errors.As(runErr, &re) || errors.As(runErr, &se) ||
-		errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
-		return nil, false, nil, requestError(runErr, true)
-	}
-	return res, hit, runErr, nil
-}
-
-// recipe names the request's run for the pipeline's ladder, with the
-// step limit clamped to the server ceiling.
-func (s *Server) recipe(req *RunRequest, heapProfile bool) *pipeline.Recipe {
-	steps := s.cfg.MaxSteps
+// execute serves the request's run from the pipeline's ladder, with the
+// request's injected faults armed and the step limit clamped to the
+// server ceiling, its execution under the request's clamped timeout. runErr
+// is the run's own error, which is data to the caller; err is a rejected
+// request, a failed build or a context error.
+func (s *Server) execute(r *http.Request, req *RunRequest, heapProfile bool) (sv *pipeline.Served, runErr, err error) {
+	steps, timeout := s.cfg.MaxSteps, s.cfg.RunTimeout
 	if req.MaxSteps > 0 && req.MaxSteps < steps {
 		steps = req.MaxSteps
 	}
-	return &pipeline.Recipe{
+	if d := time.Duration(req.TimeoutMs) * time.Millisecond; d > 0 && d < timeout {
+		timeout = d
+	}
+	sv, runErr = s.pipeline.Run(r.Context(), &pipeline.Recipe{
 		Stage: pipeline.StageExecute, Name: unitName(req.Name), Source: req.Source,
 		Spec: pipeline.Spec{BuildSpec: req.BuildSpec, RunSpec: req.RunSpec}, MaxSteps: steps, HeapProfile: heapProfile,
+	}, timeout)
+	if sv == nil || errors.Is(runErr, context.Canceled) || errors.Is(runErr, context.DeadlineExceeded) {
+		return nil, nil, requestError(runErr, true)
 	}
+	return sv, runErr, nil
 }
 
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
@@ -260,17 +252,12 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	rec := s.recipe(&req, false)
-	prog, hit, err := s.pipeline.Program(r.Context(), rec)
-	if err != nil {
-		return requestError(err, true)
-	}
-	res, _, runErr, err := s.execute(r, &req, rec)
+	sv, runErr, err := s.execute(r, &req, false)
 	if err != nil {
 		return err
 	}
-	resp := RunResponse{Size: prog.Size(), CacheHit: hit}
-	if res != nil {
+	resp := RunResponse{Size: sv.Prog.Size(), CacheHit: sv.Hit}
+	if res := sv.Result; res != nil {
 		resp.Output = res.Output
 		resp.ExitCode = res.ExitCode
 		resp.Cycles = res.Cycles
@@ -286,19 +273,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) error {
 	}
 	writeJSON(w, http.StatusOK, resp)
 	return nil
-}
-
-// runContext derives the execution context: the request's own context,
-// bounded by the server ceiling, tightened further if the request asked
-// for less.
-func (s *Server) runContext(parent context.Context, timeoutMs int64) (context.Context, context.CancelFunc) {
-	d := s.cfg.RunTimeout
-	if timeoutMs > 0 {
-		if rd := time.Duration(timeoutMs) * time.Millisecond; rd < d {
-			d = rd
-		}
-	}
-	return context.WithTimeout(parent, d)
 }
 
 // MatrixRequest runs one generated program through the differential
@@ -353,7 +327,7 @@ func (s *Server) handleMatrix(w http.ResponseWriter, r *http.Request) error {
 		}
 		machines = append(machines, opts.Machine)
 	}
-	ctx, cancel := s.runContext(r.Context(), 0)
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RunTimeout)
 	defer cancel()
 	p := fuzz.Generate(req.Seed, req.Steps)
 	m, err := fuzz.RunMatrixContext(ctx, p, fuzz.MatrixOptions{

@@ -39,10 +39,11 @@ func (s *Server) handleHeapdump(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	res, hit, _, err := s.execute(r, &req.RunRequest, s.recipe(&req.RunRequest, true))
+	sv, _, err := s.execute(r, &req.RunRequest, true)
 	if err != nil {
 		return err
 	}
+	res := sv.Result
 	if res == nil || res.Snapshot == nil {
 		reason := "no result"
 		if res != nil {
@@ -62,7 +63,7 @@ func (s *Server) handleHeapdump(w http.ResponseWriter, r *http.Request) error {
 		Snapshot:    snap,
 		LiveObjects: len(snap.Objects),
 		LiveBytes:   snap.TotalBytes(),
-		CacheHit:    hit,
+		CacheHit:    sv.RunHit,
 	}
 	if req.Report {
 		topN := req.TopN

@@ -17,19 +17,21 @@ import (
 // peering timeout and circuit breaker, and degrading to the local walk on
 // any failure (availability over dedup). The owner answers through its
 // own ladder, so concurrent requests for one key across the cluster
-// coalesce onto one computation there. The recipe a peer sends names the
-// artifact in the public vocabulary; the owner re-derives the key from it.
+// coalesce onto one computation there. An artifact's owner is its home
+// key's (a run's home is its program's key). The recipe a peer sends
+// names the artifact in the public vocabulary; the owner re-derives the
+// key from it.
 type peerRung struct{ s *Server }
 
-// Fetch asks key's owning peer for the artifact; false means walk
-// locally — because this node owns the key, peering is off, or the owner
+// Fetch asks home's owning peer for the artifact; false means walk
+// locally — because this node owns home, peering is off, or the owner
 // could not serve it (counted as a fallback in the cluster stats).
-func (p peerRung) Fetch(ctx context.Context, key artifact.Key, rec *pipeline.Recipe) (any, int64, bool) {
+func (p peerRung) Fetch(ctx context.Context, home, key artifact.Key, rec *pipeline.Recipe) (any, int64, bool) {
 	s := p.s
 	if s.peering == nil {
 		return nil, 0, false
 	}
-	resp, remote, err := s.peering.Fetch(ctx, key, rec)
+	resp, remote, err := s.peering.Fetch(ctx, home, key, rec)
 	if !remote || err != nil {
 		return nil, 0, false
 	}
@@ -45,12 +47,12 @@ func (p peerRung) Fetch(ctx context.Context, key artifact.Key, rec *pipeline.Rec
 
 // Computed counts the work this node did: the compiles and annotations
 // the stampede and cluster gates are stated in, and the run and heap
-// metrics of a computed run. When another node owns the key, it offers
+// metrics of a computed run. When another node owns home, it offers
 // that node the artifact, best-effort and asynchronous: the placement
 // repair after a fallback. The push rides a detached context (the
 // triggering request may already be gone) that still carries its fault
 // set, so chaos suites can exercise cluster.peer.put.
-func (p peerRung) Computed(ctx context.Context, key artifact.Key, rec *pipeline.Recipe, v any) {
+func (p peerRung) Computed(ctx context.Context, home, key artifact.Key, rec *pipeline.Recipe, v any) {
 	s := p.s
 	switch rec.Stage {
 	case pipeline.StageAnnotate:
@@ -69,7 +71,7 @@ func (p peerRung) Computed(ctx context.Context, key artifact.Key, rec *pipeline.
 	if s.peering == nil || key == "" {
 		return
 	}
-	if _, self := s.peering.Owner(key); self {
+	if _, self := s.peering.Owner(home); self {
 		return
 	}
 	kind, payload, ok := s.codec.Encode(key, v)
@@ -77,15 +79,15 @@ func (p peerRung) Computed(ctx context.Context, key artifact.Key, rec *pipeline.
 		return
 	}
 	pctx := context.WithoutCancel(ctx)
-	go func() { _ = s.peering.Push(pctx, key, kind, payload) }()
+	go func() { _ = s.peering.Push(pctx, home, key, kind, payload) }()
 }
 
 // handlePeerGet serves /v1/peer/get: get-or-compute an artifact this
 // node owns, returning it in disk-codec wire form. The pipeline
 // re-derives the key from the recipe and refuses a mismatch — a peer
 // cannot make this node file an artifact under a key that does not
-// describe it. An artifact the codec cannot carry (a run that ended in an
-// error) is refused with 422, and the asking node walks.
+// describe it — and a run's step budget must lie within this node's
+// ceiling, as a public request's is clamped to it.
 func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) error {
 	if s.peering == nil {
 		return errf(http.StatusNotFound, "this node is not clustered")
@@ -98,7 +100,10 @@ func (s *Server) handlePeerGet(w http.ResponseWriter, r *http.Request) error {
 	if err := json.Unmarshal(req.Recipe, &rec); err != nil {
 		return errf(http.StatusBadRequest, "bad recipe: %v", err)
 	}
-	ctx, cancel := s.runContext(r.Context(), 0)
+	if rec.Stage == pipeline.StageExecute && (rec.MaxSteps == 0 || rec.MaxSteps > s.cfg.MaxSteps) {
+		return errf(http.StatusBadRequest, "max_steps %d out of range (max %d)", rec.MaxSteps, s.cfg.MaxSteps)
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RunTimeout)
 	defer cancel()
 	key := artifact.Key(req.Key)
 	v, hit, err := s.pipeline.Serve(ctx, key, &rec)

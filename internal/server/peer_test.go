@@ -295,7 +295,11 @@ func TestPeerPutSeedsOwnerCache(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s := fmt.Sprintf("int f() { return %d; }", i)
 		k := pipeline.AnnotateKey(unitName(""), s, gcsafe.Options{})
-		if ownerOf(t, nodes, k) == 0 {
+		opts, err := pipeline.BuildSpec{Annotate: "safe"}.BuildOptions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ownerOf(t, nodes, k) == 0 && ownerOf(t, nodes, opts.Key(unitName(""), s)) == 0 {
 			src, key = s, k
 			break
 		}
@@ -333,6 +337,12 @@ func TestPeerPutSeedsOwnerCache(t *testing.T) {
 	}
 	if nodes[0].srv.annotations.Load() != 0 {
 		t.Fatal("owner re-annotated a pushed artifact")
+	}
+	// The pushed report has no tree; a compile of the annotated program
+	// on its owner annotates a fresh clone for Codegen.
+	var cr CompileResponse
+	if code := nodes[0].post(t, "/v1/compile", &CompileRequest{Source: src, BuildSpec: pipeline.BuildSpec{Annotate: "safe"}}, &cr); code != http.StatusOK || cr.Size == 0 {
+		t.Fatalf("compile over the pushed report: status %d, %+v", code, cr)
 	}
 
 	// Undecodable offers are refused, not cached.
@@ -435,5 +445,140 @@ func TestClusterHeapdumpsOnceAcrossNodes(t *testing.T) {
 	}
 	if live[0] == 0 || live[1] != live[0] || live[2] != live[0] {
 		t.Fatalf("live objects %v", live)
+	}
+}
+
+// runKey is the key of the run /v1/run serves req under, with its step
+// budget at steps.
+func runKey(t *testing.T, req *RunRequest, steps uint64) artifact.Key {
+	t.Helper()
+	opts, run, err := pipeline.Spec{BuildSpec: req.BuildSpec, RunSpec: req.RunSpec}.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run.MaxInstrs = steps
+	return run.Key(opts.Key(unitName(req.Name), req.Source))
+}
+
+// TestPeerGetBoundsRunSteps: a peer's run recipe must keep its step
+// budget within this node's ceiling, as a public request's is clamped to
+// it; one that does not is refused before anything runs.
+func TestPeerGetBoundsRunSteps(t *testing.T) {
+	nodes := startPeerCluster(t, 2)
+	req := &RunRequest{CompileRequest: CompileRequest{Source: helloC}}
+	ceiling := nodes[0].srv.cfg.MaxSteps
+	for _, steps := range []uint64{0, ceiling + 1, ceiling} {
+		recipe, err := json.Marshal(&pipeline.Recipe{
+			Stage: pipeline.StageExecute, Name: unitName(""), Source: helloC, MaxSteps: steps,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		code := nodes[0].post(t, "/v1/peer/get", &cluster.GetRequest{Key: string(runKey(t, req, steps)), Recipe: recipe}, nil)
+		if want := map[bool]int{true: http.StatusOK, false: http.StatusBadRequest}[steps == ceiling]; code != want {
+			t.Fatalf("run recipe with max_steps %d: status %d, want %d", steps, code, want)
+		}
+	}
+	if runs := nodes[0].srv.metrics.runs.programs.Load(); runs != 1 {
+		t.Fatalf("owner ran %d times, want 1 (the recipe within the ceiling)", runs)
+	}
+}
+
+// TestClusterRunsFaultedRunOnce: a run that ends in a fault is data, and
+// crosses the peer wire like a clean one: posted to every node, it runs
+// once, on its program's owner, and no node falls back.
+func TestClusterRunsFaultedRunOnce(t *testing.T) {
+	nodes := startPeerCluster(t, 3)
+	req := &RunRequest{CompileRequest: CompileRequest{Name: "limit.c", Source: loopC}, MaxSteps: 5000}
+	var faults []string
+	for _, nd := range nodes {
+		var resp RunResponse
+		if code := nd.post(t, "/v1/run", req, &resp); code != http.StatusOK || !resp.StepLimit {
+			t.Fatalf("run on %s: status %d, %+v", nd.url, code, resp)
+		}
+		faults = append(faults, resp.Fault)
+	}
+	if faults[1] != faults[0] || faults[2] != faults[0] {
+		t.Fatalf("faults %q", faults)
+	}
+	opts, err := req.BuildOptions()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := ownerOf(t, nodes, opts.Key(req.Name, req.Source))
+	for i, nd := range nodes {
+		want := map[bool]uint64{true: 1, false: 0}[i == owner]
+		if runs := nd.srv.metrics.runs.programs.Load(); runs != want {
+			t.Errorf("node %d ran %d times, want %d", i, runs, want)
+		}
+		if fb := nd.p.Stats().Fallbacks; fb != 0 {
+			t.Errorf("node %d fell back %d times", i, fb)
+		}
+	}
+}
+
+// TestPeerWaitIsNotChargedToTheRun: a run's timeout bounds its execution,
+// not the wait on an owner that then fails to serve it, so the fallback
+// run gets the whole budget.
+func TestPeerWaitIsNotChargedToTheRun(t *testing.T) {
+	slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(400 * time.Millisecond)
+		http.Error(w, `{"error": "not served"}`, http.StatusUnprocessableEntity)
+	}))
+	defer slow.Close()
+	self := httptest.NewUnstartedServer(nil)
+	self.Start()
+	defer self.Close()
+	p, err := cluster.New(cluster.Config{Self: self.URL, Peers: []string{slow.URL}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Workers: 2, Peering: p})
+	self.Config.Handler = srv.Handler()
+
+	var req *RunRequest
+	for i := 0; i < 1000 && req == nil; i++ {
+		r := &RunRequest{CompileRequest: CompileRequest{Source: fmt.Sprintf("int main() { print_int(%d); return 0; }", i)}, TimeoutMs: 300}
+		opts, err := r.BuildOptions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, own := p.Owner(opts.Key(unitName(""), r.Source)); !own {
+			req = r
+		}
+	}
+	if req == nil {
+		t.Fatal("no program key owned by the slow peer")
+	}
+	resp, data := postJSON(t, self.URL+"/v1/run", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("run after a slow owner: %d %s", resp.StatusCode, data)
+	}
+	if st := p.Stats(); st.Fallbacks != 2 {
+		t.Fatalf("fallbacks %d, want 2 (the program and the run)", st.Fallbacks)
+	}
+}
+
+// TestPeerGetRunDoesNotForward: a run recipe sent to a node that does not
+// own its program (a stale ring on the sender) builds the program there;
+// the receiver never asks the program's owner, so two stale rings cannot
+// wait on each other.
+func TestPeerGetRunDoesNotForward(t *testing.T) {
+	nodes := startPeerCluster(t, 2)
+	src, key := compileSrcOwnedBy(t, nodes, 1)
+	owner := ownerOf(t, nodes, key)
+	other := 1 - owner
+	steps := nodes[other].srv.cfg.MaxSteps
+	recipe, err := json.Marshal(&pipeline.Recipe{Stage: pipeline.StageExecute, Name: unitName(""), Source: src, MaxSteps: steps})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := &RunRequest{CompileRequest: CompileRequest{Source: src}}
+	if code := nodes[other].post(t, "/v1/peer/get", &cluster.GetRequest{Key: string(runKey(t, req, steps)), Recipe: recipe}, nil); code != http.StatusOK {
+		t.Fatalf("run recipe on the program's non-owner: status %d", code)
+	}
+	if nodes[other].srv.Compiles() != 1 || nodes[owner].srv.Compiles() != 0 || nodes[other].p.Stats().RemoteHits != 0 {
+		t.Fatalf("receiver forwarded the program: compiles %d here, %d on the owner",
+			nodes[other].srv.Compiles(), nodes[owner].srv.Compiles())
 	}
 }
