@@ -4,7 +4,8 @@
 #                     and cache-path lints, build, the short test suite under the race
 #                     detector, the full test suite, the benchmark module's
 #                     tests, bench-smoke, a 10-second native-fuzzing smoke
-#                     run per fuzz target, and the pipeline-, elision-,
+#                     run per fuzz target (internal/fuzz's and the server's
+#                     FuzzRequestBody), and the pipeline-, elision-,
 #                     serve-, chaos-, heapdump- and cluster-smoke gates
 #   make test         tier-1: exactly what CI runs (see ROADMAP.md)
 #   make benchmark-test  the benchmark module's own tests (cd benchmark &&
@@ -18,15 +19,13 @@
 #                     plus the kill -9 warm-cache-recovery test
 #   make chaos        a heavier local chaos run (more requests, live daemon)
 #   make serve        run the daemon locally on the default port
-#   make bench        run the full benchmark suite (the root package's and
-#                     the collector's) and record it as BENCH_PR10.json at
-#                     the repo root (benchdiff JSON; gate future changes
-#                     with `make bench-compare`)
-#   make bench-compare  diff the newest BENCH_*.json against the previous
-#                     one with benchdiff (exits 1 on a >10% regression)
-#   make bench-smoke  one-iteration benchmark pass piped through benchdiff
-#                     -parse and compared against itself: proves the
-#                     benchmarks run and the JSON round-trips
+#   make bench        run every package's benchmarks (the cold ones that
+#                     each isolate one layer) and print go test -bench text
+#   make bench-smoke  every benchmark once: proves the benchmarks run
+#   make ab REV=<rev> [WORKLOADS="paper-tables daemon-cold"]
+#                     interleaved A/B of the repo benchmark, REV against the
+#                     working tree: 10 pairs per workload on fresh seeds,
+#                     then benchmark/run.sh -compare; exits 1 on a worse row
 #   make pipeline-smoke  build one workload through the stage graph twice
 #                     and assert the second build is 100% stage-cache hits
 #   make elision-smoke  the liveness-elision gate: warm elided rebuilds are
@@ -53,7 +52,7 @@ GO ?= go
 FUZZPKG := ./internal/fuzz
 FUZZTARGETS := FuzzDifferential FuzzParserRoundtrip FuzzFaultInjection FuzzTemporalDifferential
 
-.PHONY: check fmt-check vet build test benchmark-test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-compare bench-smoke pipeline-smoke elision-smoke heapdump-smoke cluster-smoke run-path-lint cache-path-lint
+.PHONY: check fmt-check vet build test benchmark-test race fuzz-smoke fuzz serve-smoke chaos-smoke chaos serve bench bench-smoke ab pipeline-smoke elision-smoke heapdump-smoke cluster-smoke run-path-lint cache-path-lint
 
 check: fmt-check vet run-path-lint cache-path-lint build race test benchmark-test bench-smoke fuzz-smoke pipeline-smoke elision-smoke serve-smoke chaos-smoke heapdump-smoke cluster-smoke
 
@@ -105,15 +104,23 @@ benchmark-test:
 race:
 	$(GO) test -race -short ./...
 
+# FuzzRequestBody posts every input to each /v1 endpoint of an in-process
+# gcsafed. Its seeds are bodies of up to 50 KB, and minimizing one such
+# input that finds new coverage would take the whole smoke run, so its
+# minimization stops after 200 executions.
+SERVERFUZZ := -run '^$$' -fuzz=FuzzRequestBody -fuzzminimizetime=200x ./internal/server
+
 fuzz-smoke:
 	@for target in $(FUZZTARGETS); do \
 		$(GO) test -run '^$$' -fuzz=$$target -fuzztime=10s $(FUZZPKG) || exit 1; \
 	done
+	$(GO) test $(SERVERFUZZ) -fuzztime=10s
 
 fuzz:
 	@for target in $(FUZZTARGETS); do \
 		$(GO) test -run '^$$' -fuzz=$$target -fuzztime=5m $(FUZZPKG) || exit 1; \
 	done
+	$(GO) test $(SERVERFUZZ) -fuzztime=5m
 
 # The end-to-end daemon gate: TestServeSmoke builds the real binary, starts
 # it on a random port, exercises every endpoint and asserts the /metrics
@@ -131,46 +138,19 @@ chaos-smoke:
 chaos:
 	$(GO) run ./cmd/gcsafed -chaos -chaos-requests 512
 
-# The benchmark record: every benchmark run 5 times at a 100ms budget,
-# captured as benchdiff JSON at the repo root. 100ms gives sub-millisecond
-# benchmarks hundreds of iterations (a single 1x observation of a 300µs
-# benchmark swings ±30% on identical code on this shared/steal-prone host)
-# while the ~1s table sweeps still run one iteration. benchdiff -parse then
-# collapses the -count repeats to the per-metric minimum — the fastest
-# repeat is the least disturbed one, and the cold-cache first pass (which
-# pays the workload compiles) is discarded with it. Compare a working tree
-# against the previous record with: make bench && make bench-compare
-BENCHPKGS := . ./internal/gc
-BENCHOUT ?= BENCH_PR10.json
+# Host time is compared only within one session: make ab runs the repo
+# benchmark interleaved against a revision (scripts/ab.sh). The go test
+# benchmarks are cold and each isolates one layer; bench prints their text,
+# and bench-smoke runs each once.
 bench:
-	$(GO) test -run '^$$' -bench . -benchtime 100ms -count 5 -timeout 30m $(BENCHPKGS) | $(GO) run ./cmd/benchdiff -parse > $(BENCHOUT)
-	@echo "wrote $(BENCHOUT)"
+	$(GO) test -run '^$$' -bench . -benchtime 100ms -count 5 -timeout 30m ./...
 
-# bench-compare gates the newest benchmark record against the one before
-# it: the two most recent BENCH_*.json by modification time. Needs at
-# least two records (run `make bench` after a change to produce the new
-# one). Records are host-day-relative: this container's speed drifts
-# more than the 10% gate between days (measured in EXPERIMENTS.md "The
-# PR 10 record and cross-day host drift"), so when the gate fails,
-# re-record the previous commit in a worktree on the same day and diff
-# both records against that — drift moves both trees, a real regression
-# moves only yours.
-bench-compare:
-	@set -- $$(ls -t BENCH_*.json 2>/dev/null); \
-	if [ $$# -lt 2 ]; then \
-		echo "bench-compare: need two BENCH_*.json records, have $$#"; exit 1; \
-	fi; \
-	new=$$1; old=$$2; \
-	echo "benchdiff $$old $$new"; \
-	$(GO) run ./cmd/benchdiff $$old $$new
-
-# bench-smoke keeps the benchmark suite and the benchdiff pipeline honest
-# without paying for a real measurement: one iteration of everything, parsed
-# to JSON, diffed against itself (identity must pass the regression gate).
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x -count 1 $(BENCHPKGS) | $(GO) run ./cmd/benchdiff -parse > /tmp/bench-smoke.json
-	$(GO) run ./cmd/benchdiff /tmp/bench-smoke.json /tmp/bench-smoke.json
-	@rm -f /tmp/bench-smoke.json
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
+
+ab:
+	@if [ -z "$(REV)" ]; then echo 'make ab: set REV=<rev>'; exit 2; fi
+	bash scripts/ab.sh $(REV) $(WORKLOADS)
 
 # The stage-graph gate: a warm rebuild of a workload must be served
 # entirely from the per-stage artifact cache (TestPipelineSmokeWarmBuild

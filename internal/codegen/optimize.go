@@ -44,17 +44,24 @@ func localCSE(code []machine.Instr) []machine.Instr {
 		imm      int32
 	}
 	avail := map[key]machine.Reg{}
+	// naming indexes avail by register: every key entered under a result
+	// or an operand r is listed under r, so a redefinition visits only the
+	// entries that can name it. Entries go stale when their key is
+	// dropped or re-entered, so each hit re-checks the condition.
+	naming := map[machine.Reg][]key{}
 	invalidate := func(r machine.Reg) {
-		for k, v := range avail {
-			if v == r || k.rs1 == r || (!k.hasImm && k.rs2 == r) {
+		for _, k := range naming[r] {
+			if v, ok := avail[k]; ok && (v == r || k.rs1 == r || (!k.hasImm && k.rs2 == r)) {
 				delete(avail, k)
 			}
 		}
+		delete(naming, r)
 	}
 	for i := range code {
 		in := &code[i]
 		if barrier(*in) {
 			avail = map[key]machine.Reg{}
+			naming = map[machine.Reg][]key{}
 			continue
 		}
 		if in.Op.IsArith() && in.Rd != machine.NoReg {
@@ -69,6 +76,11 @@ func localCSE(code []machine.Instr) []machine.Instr {
 			invalidate(d)
 			if d != in.Rs1 && (in.HasImm || d != in.Rs2) {
 				avail[k] = d
+				naming[d] = append(naming[d], k)
+				naming[k.rs1] = append(naming[k.rs1], k)
+				if !k.hasImm {
+					naming[k.rs2] = append(naming[k.rs2], k)
+				}
 			}
 			continue
 		}
@@ -296,13 +308,19 @@ func b2i(b bool) int32 {
 // are never propagated through — the value is opaque.
 func copyProp(code []machine.Instr) []machine.Instr {
 	alias := map[machine.Reg]machine.Reg{}
+	// copies lists, for each source register, the registers aliased to it
+	// when their copy was made; a redefinition of the source visits only
+	// those, re-checking each, since a listed copy may have been redefined
+	// since.
+	copies := map[machine.Reg][]machine.Reg{}
 	invalidate := func(r machine.Reg) {
 		delete(alias, r)
-		for d, s := range alias {
-			if s == r {
+		for _, d := range copies[r] {
+			if alias[d] == r {
 				delete(alias, d)
 			}
 		}
+		delete(copies, r)
 	}
 	resolve := func(r machine.Reg) machine.Reg {
 		for {
@@ -317,6 +335,7 @@ func copyProp(code []machine.Instr) []machine.Instr {
 		in := &code[i]
 		if barrier(*in) {
 			alias = map[machine.Reg]machine.Reg{}
+			copies = map[machine.Reg][]machine.Reg{}
 			continue
 		}
 		// rewrite uses
@@ -348,6 +367,7 @@ func copyProp(code []machine.Instr) []machine.Instr {
 			invalidate(d)
 			if in.Op == machine.Mov && !in.HasImm && in.Rs1 != d {
 				alias[d] = in.Rs1
+				copies[in.Rs1] = append(copies[in.Rs1], d)
 			}
 		}
 	}

@@ -1,8 +1,11 @@
 package codegen
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
+	"gcsafety/internal/cc/parser"
 	"gcsafety/internal/machine"
 )
 
@@ -336,5 +339,36 @@ func TestLowerParamOffsets(t *testing.T) {
 	}
 	if out[2].Imm != 40 { // 8 + frame
 		t.Fatalf("slot param offset = %d, want 40", out[2].Imm)
+	}
+}
+
+// BenchmarkOptimize times the -O pipeline on one straight-line block of
+// n instructions: main returning the flat chain x+x+…, whose generated
+// code is a copy and an add per term. Every redefinition invalidates the
+// copy-propagation and CSE tables, so the time per instruction stays flat
+// only if invalidation is proportional to what it removes. Each iteration
+// optimizes a fresh copy of the generated code.
+func BenchmarkOptimize(b *testing.B) {
+	for _, n := range []int{1 << 10, 4 << 10, 16 << 10} {
+		b.Run(fmt.Sprintf("instrs=%d", n), func(b *testing.B) {
+			src := "int main(void) { int x = 1; return x" + strings.Repeat("+x", n/2) + "; }"
+			f, err := parser.Parse("chain.c", src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := Options{Optimize: true, Machine: machine.SPARCstation10()}
+			ir, err := Gen(f, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			gen := ir.Fns[0].Code
+			code := make([]machine.Instr, len(gen))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				copy(code, gen)
+				optimize(code, opts)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(gen)), "ns/instr")
+		})
 	}
 }

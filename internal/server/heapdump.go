@@ -39,17 +39,17 @@ func (s *Server) handleHeapdump(w http.ResponseWriter, r *http.Request) error {
 	if err := decode(r, &req); err != nil {
 		return err
 	}
-	sv, _, err := s.execute(r, &req.RunRequest, true)
+	sv, runErr, err := s.execute(r, &req.RunRequest, true)
 	if err != nil {
 		return err
 	}
 	res := sv.Result
-	if res == nil || res.Snapshot == nil {
-		reason := "no result"
-		if res != nil {
-			reason = res.SnapshotErr
-		}
-		return errf(http.StatusInternalServerError, "heapdump capture failed: %s", reason)
+	switch {
+	case res == nil:
+		// The run never started (the unit has no main): no heap to dump.
+		return errf(http.StatusUnprocessableEntity, "heapdump: %v", runErr)
+	case res.Snapshot == nil:
+		return errf(http.StatusInternalServerError, "heapdump capture failed: %s", res.SnapshotErr)
 	}
 	snap := res.Snapshot
 	// The snapshot is the cached run's, shared by every request for it:

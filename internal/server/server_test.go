@@ -624,18 +624,12 @@ func TestDeeplyNestedSourceIs422(t *testing.T) {
 }
 
 // hostileForms are the nested sources of the pipeline's
-// TestHostileNestingFailsAtParse, each about 1 MB (a twentieth under
-// -short), and a valid main followed by 1,048,000 bad characters; each
-// fails the build at the parse stage.
-func hostileForms() []struct{ name, src string } {
-	size := func(n int) int {
-		if testing.Short() {
-			return n / 20
-		}
-		return n
-	}
+// TestHostileNestingFailsAtParse, each about 1 MB divided by div, and a
+// valid main followed by 1,048,000/div bad characters; each fails the
+// build at the parse stage.
+func hostileForms(div int) []struct{ name, src string } {
 	nested := func(open, core, close string, n int) string {
-		return "int main(void) { int x = 1; return " + strings.Repeat(open, size(n)) + core + strings.Repeat(close, size(n)) + "; }"
+		return "int main(void) { int x = 1; return " + strings.Repeat(open, n/div) + core + strings.Repeat(close, n/div) + "; }"
 	}
 	return []struct{ name, src string }{
 		{"parens", nested("(", "1", ")", 500_000)},
@@ -643,18 +637,26 @@ func hostileForms() []struct{ name, src string } {
 		{"casts", nested("(int)", "x", "", 200_000)},
 		{"assignments", nested("x=", "1", "", 500_000)},
 		{"conditionals", nested("x?x:", "x", "", 250_000)},
-		{"blocks", "int main(void) { " + strings.Repeat("{", size(500_000)) + strings.Repeat("}", size(500_000)) + " }"},
-		{"array declarator", "int x" + strings.Repeat("[1]", size(333_000)) + ";"},
-		{"function declarator", "int f" + strings.Repeat("(int (*)", size(110_000)) + "(void)" + strings.Repeat(")", size(110_000)) + ";"},
-		{"bad characters", "int main(void) { return 0; }" + strings.Repeat("@", size(1_048_000))},
+		{"blocks", "int main(void) { " + strings.Repeat("{", 500_000/div) + strings.Repeat("}", 500_000/div) + " }"},
+		{"array declarator", "int x" + strings.Repeat("[1]", 333_000/div) + ";"},
+		{"function declarator", "int f" + strings.Repeat("(int (*)", 110_000/div) + "(void)" + strings.Repeat(")", 110_000/div) + ";"},
+		{"bad characters", "int main(void) { return 0; }" + strings.Repeat("@", 1_048_000/div)},
 	}
+}
+
+// flatChain is main returning x+x+… with the given number of terms: valid
+// C whose AST nests once per term and whose code is one basic block.
+func flatChain(terms int) string {
+	return "int main(void) { int x = 1; return x" + strings.Repeat("+x", terms) + "; }"
 }
 
 // TestHostileSourcesAre422: every source endpoint answers each hostile
 // form with 422 within 2 s, and no handler panics. The flat x+x+… chain
-// is valid C and goes to the annotator's endpoints only, which must
-// answer it within the same bound; the codegen endpoints still take
-// quadratic time on it.
+// is valid C: at 1 MB it goes to the annotator's endpoints only, which
+// must answer it within the same bound, and at 16,000 terms an optimized
+// compile and run of it must too, since the optimizer's local passes are
+// linear in block length. Codegen itself still takes over a second on the
+// 1 MB chain.
 func TestHostileSourcesAre422(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	post := func(path string, body any, want int, form string) {
@@ -668,18 +670,20 @@ func TestHostileSourcesAre422(t *testing.T) {
 			t.Errorf("%s %s: answering took %v", path, form, d)
 		}
 	}
-	for _, f := range hostileForms() {
+	div := 1
+	if testing.Short() {
+		div = 20
+	}
+	for _, f := range hostileForms(div) {
 		for _, path := range []string{"/v1/annotate", "/v1/check", "/v1/compile", "/v1/run", "/v1/heapdump"} {
 			post(path, map[string]any{"name": "hostile.c", "source": f.src}, http.StatusUnprocessableEntity, f.name)
 		}
 	}
-	terms := 500_000
-	if testing.Short() {
-		terms /= 20
-	}
-	flat := "int main(void) { int x = 1; return x" + strings.Repeat("+x", terms) + "; }"
 	for _, path := range []string{"/v1/annotate", "/v1/check"} {
-		post(path, map[string]any{"name": "flat.c", "source": flat}, http.StatusOK, "flat chain")
+		post(path, map[string]any{"name": "flat.c", "source": flatChain(500_000 / div)}, http.StatusOK, "flat chain")
+	}
+	for _, path := range []string{"/v1/compile", "/v1/run"} {
+		post(path, map[string]any{"name": "chain.c", "source": flatChain(16_000), "optimize": true}, http.StatusOK, "16,000-term chain")
 	}
 	if snap := getMetrics(t, ts.URL); snap.Panics != 0 {
 		t.Fatalf("%d handler panics", snap.Panics)
