@@ -43,50 +43,46 @@ func localCSE(code []machine.Instr) []machine.Instr {
 		hasImm   bool
 		imm      int32
 	}
-	avail := map[key]machine.Reg{}
-	// naming indexes avail by register: every key entered under a result
-	// or an operand r is listed under r, so a redefinition visits only the
-	// entries that can name it. Entries go stale when their key is
-	// dropped or re-entered, so each hit re-checks the condition.
-	naming := map[machine.Reg][]key{}
-	invalidate := func(r machine.Reg) {
-		for _, k := range naming[r] {
-			if v, ok := avail[k]; ok && (v == r || k.rs1 == r || (!k.hasImm && k.rs2 == r)) {
-				delete(avail, k)
-			}
+	// An entry holds the register with the result and the definition
+	// counts of it and the operands when it was entered. It is stale once
+	// any of them is redefined, so a redefinition is one count, not a
+	// scan of the table.
+	type entry struct {
+		d                   machine.Reg
+		dDefs, defs1, defs2 int32
+	}
+	avail := map[key]entry{}
+	seen := newCensus(code) // definitions so far
+	lookup := func(k key) (machine.Reg, bool) {
+		e, ok := avail[k]
+		if !ok || seen.Defs(e.d) != e.dDefs || seen.Defs(k.rs1) != e.defs1 ||
+			(!k.hasImm && seen.Defs(k.rs2) != e.defs2) {
+			return machine.NoReg, false
 		}
-		delete(naming, r)
+		return e.d, true
 	}
 	for i := range code {
 		in := &code[i]
 		if barrier(*in) {
-			avail = map[key]machine.Reg{}
-			naming = map[machine.Reg][]key{}
+			avail = map[key]entry{}
 			continue
 		}
 		if in.Op.IsArith() && in.Rd != machine.NoReg {
 			k := key{op: in.Op, rs1: in.Rs1, rs2: in.Rs2, hasImm: in.HasImm, imm: in.Imm}
-			if prev, ok := avail[k]; ok && prev != in.Rd {
+			if prev, ok := lookup(k); ok && prev != in.Rd {
 				rd := in.Rd
 				*in = machine.RR(machine.Mov, rd, prev, machine.NoReg)
-				invalidate(rd)
+				seen.def(rd)
 				continue
 			}
 			d := in.Rd
-			invalidate(d)
+			seen.def(d)
 			if d != in.Rs1 && (in.HasImm || d != in.Rs2) {
-				avail[k] = d
-				naming[d] = append(naming[d], k)
-				naming[k.rs1] = append(naming[k.rs1], k)
-				if !k.hasImm {
-					naming[k.rs2] = append(naming[k.rs2], k)
-				}
+				avail[k] = entry{d, seen.Defs(d), seen.Defs(k.rs1), seen.Defs(k.rs2)}
 			}
 			continue
 		}
-		if d := defOf(*in); d != machine.NoReg {
-			invalidate(d)
-		}
+		seen.def(defOf(*in))
 	}
 	return code
 }
@@ -125,23 +121,33 @@ func regRange(code []machine.Instr) (nPhys, nVirt int) {
 	return nPhys, nVirt
 }
 
-// countRegs takes the census of code.
-func countRegs(code []machine.Instr) regCounts {
+// newCensus is a census of code's registers with every count at zero.
+func newCensus(code []machine.Instr) regCounts {
 	nPhys, nVirt := regRange(code)
 	n := nPhys + nVirt
 	counts := make([]int32, 2*n)
-	c := regCounts{nPhys: nPhys, defs: counts[:n:n], uses: counts[n:]}
+	return regCounts{nPhys: nPhys, defs: counts[:n:n], uses: counts[n:]}
+}
+
+// countRegs takes the census of code.
+func countRegs(code []machine.Instr) regCounts {
+	c := newCensus(code)
 	var buf []machine.Reg
 	for _, in := range code {
-		if i := c.index(defOf(in)); i >= 0 {
-			c.defs[i]++
-		}
+		c.def(defOf(in))
 		buf = usesOf(in, buf[:0])
 		for _, u := range buf {
 			c.uses[c.index(u)]++
 		}
 	}
 	return c
+}
+
+// def counts a definition of r; NoReg counts nowhere.
+func (c *regCounts) def(r machine.Reg) {
+	if i := c.index(r); i >= 0 {
+		c.defs[i]++
+	}
 }
 
 // index is r's slot in the counters, or -1 for NoReg and for registers
@@ -158,18 +164,19 @@ func (c *regCounts) index(r machine.Reg) int {
 	return -1
 }
 
-// Defs is the number of instructions defining r.
-func (c *regCounts) Defs(r machine.Reg) int {
+// Defs is the number of instructions defining r: in code, or so far in a
+// census a pass fills as it walks.
+func (c *regCounts) Defs(r machine.Reg) int32 {
 	if i := c.index(r); i >= 0 {
-		return int(c.defs[i])
+		return c.defs[i]
 	}
 	return 0
 }
 
 // Uses is the number of operand reads of r.
-func (c *regCounts) Uses(r machine.Reg) int {
+func (c *regCounts) Uses(r machine.Reg) int32 {
 	if i := c.index(r); i >= 0 {
-		return int(c.uses[i])
+		return c.uses[i]
 	}
 	return 0
 }
@@ -307,35 +314,28 @@ func b2i(b bool) int32 {
 // uses of vd become uses of vs until either is redefined. KeepLive results
 // are never propagated through — the value is opaque.
 func copyProp(code []machine.Instr) []machine.Instr {
-	alias := map[machine.Reg]machine.Reg{}
-	// copies lists, for each source register, the registers aliased to it
-	// when their copy was made; a redefinition of the source visits only
-	// those, re-checking each, since a listed copy may have been redefined
-	// since.
-	copies := map[machine.Reg][]machine.Reg{}
-	invalidate := func(r machine.Reg) {
-		delete(alias, r)
-		for _, d := range copies[r] {
-			if alias[d] == r {
-				delete(alias, d)
-			}
-		}
-		delete(copies, r)
+	// alias maps a copy to its source and the source's definition count
+	// when the copy was made. The entry is stale once the source is
+	// redefined, so a redefinition is one count, not a scan of the map.
+	type copyOf struct {
+		src  machine.Reg
+		defs int32
 	}
+	alias := map[machine.Reg]copyOf{}
+	seen := newCensus(code) // definitions so far
 	resolve := func(r machine.Reg) machine.Reg {
 		for {
-			s, ok := alias[r]
-			if !ok {
+			c, ok := alias[r]
+			if !ok || seen.Defs(c.src) != c.defs {
 				return r
 			}
-			r = s
+			r = c.src
 		}
 	}
 	for i := range code {
 		in := &code[i]
 		if barrier(*in) {
-			alias = map[machine.Reg]machine.Reg{}
-			copies = map[machine.Reg][]machine.Reg{}
+			alias = map[machine.Reg]copyOf{}
 			continue
 		}
 		// rewrite uses
@@ -364,10 +364,10 @@ func copyProp(code []machine.Instr) []machine.Instr {
 			}
 		}
 		if d := defOf(*in); d != machine.NoReg {
-			invalidate(d)
+			delete(alias, d)
+			seen.def(d)
 			if in.Op == machine.Mov && !in.HasImm && in.Rs1 != d {
-				alias[d] = in.Rs1
-				copies[in.Rs1] = append(copies[in.Rs1], d)
+				alias[d] = copyOf{in.Rs1, seen.Defs(in.Rs1)}
 			}
 		}
 	}

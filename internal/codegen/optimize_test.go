@@ -344,10 +344,11 @@ func TestLowerParamOffsets(t *testing.T) {
 
 // BenchmarkOptimize times the -O pipeline on one straight-line block of
 // n instructions: main returning the flat chain x+x+…, whose generated
-// code is a copy and an add per term. Every redefinition invalidates the
-// copy-propagation and CSE tables, so the time per instruction stays flat
-// only if invalidation is proportional to what it removes. Each iteration
-// optimizes a fresh copy of the generated code.
+// code is a copy and an add per term. Every redefinition invalidates
+// entries of the copy-propagation and CSE tables, so the time per
+// instruction stays flat only if a redefinition costs the same however
+// large the tables have grown. Each iteration optimizes a fresh copy of
+// the generated code.
 func BenchmarkOptimize(b *testing.B) {
 	for _, n := range []int{1 << 10, 4 << 10, 16 << 10} {
 		b.Run(fmt.Sprintf("instrs=%d", n), func(b *testing.B) {
